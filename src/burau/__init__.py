@@ -24,6 +24,7 @@ from .foxburau import (
     burau_matrix,
     fox_derivative,
     monomial_count,
+    reduce_full,
     reduced_burau,
     verify_multiplicativity,
 )
@@ -51,6 +52,7 @@ from .spectral import (
     SweepResult,
     Tolerances,
     UnitRootCertificate,
+    burau_radius_sweep,
     char_poly_complex,
     entropy_lower_bound,
     reciprocal_conjugate,

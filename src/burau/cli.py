@@ -21,19 +21,25 @@ from .braid import (
     permutation,
     render_braid,
 )
-from .foxburau import BurauMatrix, burau_matrix, alexander_polynomial, reduced_burau
+from .foxburau import (
+    BurauMatrix,
+    alexander_polynomial,
+    burau_matrix,
+    reduce_full,
+    reduced_burau,
+)
 from .freegroup import artin_action, growth_rate_estimate, occurrence_matrix
 from .laurent import charpoly
 from .spectral import (
     DEFAULT_TOLERANCES,
     RootFindingError,
     Tolerances,
+    burau_radius_sweep,
     entropy_lower_bound,
     roots,
     specialize,
     specialize_bivariate,
     strict_gap_check,
-    sweep_unit_circle,
 )
 
 EXIT_OK = 0
@@ -176,7 +182,7 @@ def _envelope(cfg: RunConfig, word: BraidWord, results: dict,
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _matrix_lines(b: BurauMatrix) -> list:
@@ -249,8 +255,8 @@ def cmd_entropy_bound(cfg: RunConfig, word: BraidWord) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, word: BraidWord) -> int:
-    b = burau_matrix(word)
-    sweep = sweep_unit_circle(b.matrix, cfg.grid, cfg.refine, cfg.tolerances)
+    sweep = burau_radius_sweep(reduced_burau(word).matrix, cfg.grid, cfg.refine,
+                               cfg.tolerances)
     if cfg.fmt == "json":
         results = {
             "grid": sweep.grid,
@@ -298,12 +304,12 @@ def cmd_growth(cfg: RunConfig, word: BraidWord) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig, word: BraidWord) -> list:
-    """Cross-module invariant suite for one braid; returns (name, ok) pairs."""
+def _verify_checks(cfg: RunConfig, word: BraidWord, full: BurauMatrix) -> list:
+    """Cross-module invariant suite for one braid and its full Burau matrix;
+    returns (name, ok) pairs."""
     from .laurent import BivariatePoly, LaurentPoly
 
     checks = []
-    full = burau_matrix(word)
     n = word.strands
     one = LaurentPoly.one()
 
@@ -339,16 +345,16 @@ def _verify_checks(cfg: RunConfig, word: BraidWord) -> list:
         for i in range(n) for j in range(n))
     checks.append(("t=1 specialization is the permutation matrix", perm_ok))
 
-    reduced = reduced_burau(word)
+    reduced_charpoly = charpoly(reduce_full(full).matrix)
     x_minus_one = BivariatePoly.make([LaurentPoly.constant(-1), one])
-    pol1_ok = charpoly(full.matrix) == x_minus_one * charpoly(reduced.matrix)
+    pol1_ok = charpoly(full.matrix) == x_minus_one * reduced_charpoly
     checks.append(("charpoly factors through the reduced matrix", pol1_ok))
 
     symmetry_ok = True
     for _ in range(3):
         theta = rng.uniform(0, 2 * math.pi)
         t = complex(math.cos(theta), math.sin(theta))
-        eigs = roots(specialize_bivariate(charpoly(reduced.matrix), t),
+        eigs = roots(specialize_bivariate(reduced_charpoly, t),
                      cfg.tolerances) if n > 1 else []
         for lam in eigs:
             target = 1 / lam.conjugate()
@@ -371,10 +377,11 @@ def _verify_checks(cfg: RunConfig, word: BraidWord) -> list:
 
 
 def cmd_verify(cfg: RunConfig, word: BraidWord) -> int:
-    checks = _verify_checks(cfg, word)
+    full = burau_matrix(word)
+    checks = _verify_checks(cfg, word, full)
     gap = None
     if cfg.gap_lambda is not None:
-        gap = strict_gap_check(word, cfg.gap_lambda, cfg.grid, cfg.refine,
+        gap = strict_gap_check(full, cfg.gap_lambda, cfg.grid, cfg.refine,
                                cfg.tolerances)
         checks.append((f"strict gap vs lambda={_fmt(cfg.gap_lambda)}",
                        gap.gap_holds))
@@ -395,8 +402,10 @@ def cmd_verify(cfg: RunConfig, word: BraidWord) -> int:
         for name, ok in checks:
             print(f"{'ok  ' if ok else 'FAIL'} {name}")
         if gap is not None:
+            res = gap.min_resultant_abs
             print(f"sweep max {_fmt(gap.sweep.radius_star)} vs lambda "
-                  f"{_fmt(gap.lam)}; min |resultant| {_fmt(gap.min_resultant_abs)}")
+                  f"{_fmt(gap.lam)}; min |resultant| "
+                  f"{'none' if res is None else _fmt(res)}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

@@ -221,14 +221,20 @@ def _exponent_from_determinant(m: LaurentMatrix) -> int:
 
 
 def reduced_burau(w: BraidWord) -> BurauMatrix:
+    """Reduced Burau matrix of a braid word (see ``reduce_full``)."""
+    return reduce_full(burau_matrix(w))
+
+
+def reduce_full(full: BurauMatrix) -> BurauMatrix:
     """Matrix of the full Burau action restricted to the zero-coordinate-sum
     row subspace, in the basis u_i = V_i - V_{i+1}.
 
     The coordinates of (row_i - row_{i+1}) in that basis are its prefix sums;
     the full prefix sum is checked to vanish exactly (the invariance residual).
     """
-    full = burau_matrix(w)
-    n = w.strands
+    if full.flavor != FULL:
+        raise ValueError("reduce_full needs the full Burau matrix")
+    n = full.dim
     rows = []
     for i in range(n - 1):
         prefix = LaurentPoly.zero()

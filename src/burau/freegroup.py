@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .braid import BraidWord
 
 DEFAULT_LETTER_BUDGET = 10_000_000
@@ -315,12 +317,6 @@ def growth_rate_estimate(a: FreeAutomorphism, p_max: int,
 
 
 def _integer_spectral_radius(m: OccurrenceMatrix) -> float:
-    # Deferred import: spectral pulls in the Burau construction modules.
-    from . import spectral
-
     if m.dim == 0:
         return 0.0
-    import numpy as np
-
-    arr = np.array(m.entries, dtype=complex)
-    return spectral.spectral_radius(arr)
+    return float(np.abs(np.linalg.eigvals(np.array(m.entries, dtype=float))).max())

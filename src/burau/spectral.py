@@ -6,15 +6,15 @@ resultant certificate for unit-circle roots.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .braid import BraidWord
-from .foxburau import burau_matrix, reduced_burau
-from .laurent import BivariatePoly, LaurentMatrix, charpoly
+from .foxburau import BurauMatrix, burau_matrix, reduce_full
+from .laurent import INT, BivariatePoly, LaurentMatrix, charpoly
 
 MAX_COMPLEX_DIM = 64
 LEADING_EPS = 1e-12
@@ -112,16 +112,45 @@ def _complex_piece(c: complex, k: int, var: str):
 
 def specialize(m: LaurentMatrix, t: complex) -> np.ndarray:
     """Entrywise evaluation at a nonzero complex number."""
-    if t == 0:
+    return _evaluate(*_coefficient_array(m), [t])[0]
+
+
+def _coefficient_array(m: LaurentMatrix):
+    """Dense (d, d, K) coefficient array of m and the exponent of its first
+    slice: m(t) = sum_k coeffs[:, :, k] * t^(low + k)."""
+    exps = [e for row in m.rows for entry in row for e, _ in entry.terms]
+    low = min(exps, default=0)
+    coeffs = np.zeros((m.dim, m.dim, max(exps, default=0) - low + 1), dtype=complex)
+    for i, row in enumerate(m.rows):
+        for j, entry in enumerate(row):
+            for e, c in entry.terms:
+                coeffs[i, j, e - low] = c
+    return coeffs, low
+
+
+def _evaluate(coeffs: np.ndarray, low: int, ts) -> np.ndarray:
+    """The (points, d, d) stack of m(t), one matrix per nonzero t in ts."""
+    ts = np.asarray(ts, dtype=complex)
+    if np.any(ts == 0):
         raise ValueError("cannot specialize at t = 0")
-    n = m.dim
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = m.entry(i, j).evaluate(t)
-    if not np.all(np.isfinite(out.view(float))):
+    powers = ts[:, None] ** np.arange(low, low + coeffs.shape[2])
+    stack = np.einsum("ijk,pk->pij", coeffs, powers)
+    if not np.all(np.isfinite(stack.view(float))):
         raise ValueError("specialization produced non-finite entries")
-    return out
+    return stack
+
+
+def _radii(stack: np.ndarray) -> np.ndarray:
+    """Spectral radius of every matrix in the stack, by batched eigenvalues;
+    NaN where the eigenvalue iteration fails."""
+    try:
+        return np.abs(np.linalg.eigvals(stack)).max(-1)
+    except np.linalg.LinAlgError:
+        out = np.full(len(stack), np.nan)
+        for p, a in enumerate(stack):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[p] = np.abs(np.linalg.eigvals(a)).max()
+        return out
 
 
 def specialize_bivariate(p: BivariatePoly, t: complex) -> ComplexPolynomial:
@@ -136,8 +165,8 @@ def specialize_bivariate(p: BivariatePoly, t: complex) -> ComplexPolynomial:
 def char_poly_complex(m: np.ndarray) -> ComplexPolynomial:
     """Characteristic polynomial det(X I - m) of a dense complex matrix.
 
-    Hessenberg reduction followed by the leading-minor recurrence; the result
-    is exactly monic by construction.
+    Coefficients come from the eigenvalues (``np.poly``); the result is
+    exactly monic by construction.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
@@ -147,25 +176,7 @@ def char_poly_complex(m: np.ndarray) -> ComplexPolynomial:
         raise ValueError(f"dimension {n} exceeds limit {MAX_COMPLEX_DIM}")
     if n == 0:
         return ComplexPolynomial.make([1.0])
-    h = scipy.linalg.hessenberg(m)
-    minors = [[1.0 + 0j]]
-    for k in range(1, n + 1):
-        prev = minors[k - 1]
-        # (X - h[k-1,k-1]) * prev
-        poly = [0j] * (len(prev) + 1)
-        for idx, c in enumerate(prev):
-            poly[idx + 1] += c
-            poly[idx] -= h[k - 1, k - 1] * c
-        prod = 1.0 + 0j
-        for i in range(k - 1, 0, -1):
-            prod *= h[i, i - 1]
-            factor = h[i - 1, k - 1] * prod
-            if factor != 0:
-                lower = minors[i - 1]
-                for idx, c in enumerate(lower):
-                    poly[idx] -= factor * c
-        minors.append(poly)
-    return ComplexPolynomial.make(minors[n])
+    return ComplexPolynomial.make(np.poly(m)[::-1])
 
 
 def roots(p: ComplexPolynomial,
@@ -353,69 +364,67 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> SweepResult:
     """Maximum spectral radius of m(t) over the unit circle.
 
-    Evaluates the grid t = exp(2 pi i k / grid), then golden-section refines
-    around each strict local maximum of the (continuous) radius function.
-    Root-finder failures at isolated grid points are skipped, not fatal.
+    Specializes m on the whole grid t = exp(2 pi i k / grid) at once and
+    takes every radius from batched eigenvalues.  An integer matrix has
+    m(conj t) = conj m(t), so its radius is symmetric under theta -> -theta:
+    only k = 0 .. grid/2 are evaluated, the rest are mirrored, and reported
+    maxima lie in [0, pi].  Golden-section refinement runs around each strict
+    local maximum whose grid value lies within ``margin`` of the grid
+    maximum, where ``margin`` is the largest difference between neighbouring
+    grid values.  Points where the eigenvalue iteration fails are skipped,
+    not fatal.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
-    if m.dim <= 12:
-        bi = charpoly(m)
+    coeffs, low = _coefficient_array(m)
+    symmetric = m.domain == INT
+    count = grid // 2 + 1 if symmetric else grid
+    thetas = 2 * math.pi * np.arange(grid) / grid
+    values = _radii(_evaluate(coeffs, low, np.exp(1j * thetas[:count])))
+    values = np.concatenate([values, values[1:grid - count + 1][::-1]])
 
-        def radius_at(theta: float) -> float:
-            poly = specialize_bivariate(bi, cmath.exp(1j * theta))
-            return max(abs(r) for r in roots(poly, tolerances))
-    else:
-        def radius_at(theta: float) -> float:
-            return spectral_radius(specialize(m, cmath.exp(1j * theta)), tolerances)
+    def radius_at(theta: float) -> float:
+        value = _radii(_evaluate(coeffs, low, [cmath.exp(1j * theta)]))[0]
+        return -math.inf if math.isnan(value) else float(value)
 
-    thetas = [2 * math.pi * k / grid for k in range(grid)]
-    values: list = []
-    samples = []
-    skipped = []
-    for k, theta in enumerate(thetas):
-        try:
-            value = radius_at(theta)
-        except RootFindingError as exc:
-            values.append(None)
-            skipped.append((k, str(exc)))
-            continue
-        values.append(value)
-        samples.append((theta, value))
-
-    best_theta, best_value = min(
-        ((theta, value) for theta, value in samples),
-        key=lambda item: (-item[1], item[0]),
-        default=(0.0, 0.0))
+    finite = ~np.isnan(values)
+    samples = tuple((theta, value) for theta, value, ok in
+                    zip(thetas.tolist(), values.tolist(), finite) if ok)
+    skipped = tuple((int(k), "eigenvalue iteration did not converge")
+                    for k in np.flatnonzero(~finite))
+    best_theta, best_value = 0.0, 0.0
+    if samples:
+        k = int(np.nanargmax(values))
+        best_theta, best_value = float(thetas[k]), float(values[k])
 
     iterations = 0
     if refine and samples:
+        v = np.where(finite, values, -np.inf)
+        left, right = np.roll(v, 1), np.roll(v, -1)
+        steps = np.abs(values - np.roll(values, -1))
+        margin = steps[~np.isnan(steps)].max(initial=0.0)
+        peaks = ((v >= left) & (v >= right) & ((v > left) | (v > right))
+                 & (v >= best_value - margin))
         step = 2 * math.pi / grid
-        for k in range(grid):
-            v = values[k]
-            if v is None:
-                continue
-            left = values[(k - 1) % grid]
-            right = values[(k + 1) % grid]
-            lo = -math.inf if left is None else left
-            hi = -math.inf if right is None else right
-            if v >= lo and v >= hi and (v > lo or v > hi):
-                theta, value, its = _golden_section_max(
-                    radius_at, thetas[k] - step, thetas[k] + step,
-                    tolerances.refine_interval)
-                iterations += its
-                theta %= 2 * math.pi
-                if value > best_value or (value == best_value and theta < best_theta):
-                    best_theta, best_value = theta, value
+        for center in thetas[:count][peaks[:count]].tolist():
+            theta, value, its = _golden_section_max(
+                radius_at, center - step, center + step,
+                tolerances.refine_interval)
+            iterations += its
+            theta %= 2 * math.pi
+            if symmetric and theta > math.pi:
+                theta = 2 * math.pi - theta
+            if value > best_value or (value == best_value and theta < best_theta):
+                best_theta, best_value = theta, value
 
     return SweepResult(
         grid=grid,
-        samples=tuple(samples),
+        samples=samples,
         theta_star=best_theta,
         t_star=cmath.exp(1j * best_theta),
         radius_star=best_value,
         refinement_iterations=iterations,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )
 
 
@@ -425,28 +434,21 @@ _INV_PHI = (math.sqrt(5.0) - 1) / 2
 def _golden_section_max(f, a: float, b: float, interval_tol: float):
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
-    fc = _safe_eval(f, c)
-    fd = _safe_eval(f, d)
+    fc = f(c)
+    fd = f(d)
     iterations = 0
     while b - a > interval_tol:
         iterations += 1
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
-            fc = _safe_eval(f, c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
-            fd = _safe_eval(f, d)
+            fd = f(d)
     theta = (a + b) / 2
-    return theta, max(_safe_eval(f, theta), fc, fd), iterations
-
-
-def _safe_eval(f, theta: float) -> float:
-    try:
-        return f(theta)
-    except RootFindingError:
-        return -math.inf
+    return theta, max(f(theta), fc, fd), iterations
 
 
 _SPOT_POINTS = (
@@ -473,14 +475,36 @@ def entropy_lower_bound(w: BraidWord, grid: int = 1024, refine: bool = True,
     """Lower bound for the topological entropy of any homeomorphism inducing
     the braid: ln of the unit-circle supremum of the Burau spectral radius."""
     full = burau_matrix(w)
-    sweep = sweep_unit_circle(full.matrix, grid, refine, tolerances)
+    sweep = burau_radius_sweep(reduce_full(full).matrix, grid, refine, tolerances)
     spots = []
     for label, t in _SPOT_POINTS:
         value = spectral_radius(specialize(full.matrix, t), tolerances)
         spots.append((label, value))
-    bound = math.log(max(1.0, sweep.radius_star))
+    bound = math.log(sweep.radius_star)
     return EntropyReport(strands=w.strands, sweep=sweep, bound=bound,
                          spot_values=tuple(spots))
+
+
+def burau_radius_sweep(reduced: LaurentMatrix, grid: int = 1024,
+                       refine: bool = True,
+                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> SweepResult:
+    """Unit-circle sweep of a braid's Burau spectral radius, run on its
+    reduced matrix: det(X I - B) = (X - 1) det(X I - B_reduced), so the full
+    radius is max(1, reduced radius) at every t.  The samples stay reduced
+    radii; ``radius_star`` is the full radius.
+
+    On |t| = 1 the reduced spectrum is closed under lam -> 1/conj(lam), so
+    when every eigenvalue at the maximum has the same float modulus the
+    spectrum lies on the unit circle and the radius is exactly 1.  This drops
+    the rounding of |t^n| that the t^n I of a full twist carries into every
+    eigenvalue.  It can lower the float maximum only by rounding, so it suits
+    a lower bound, not a gap check.
+    """
+    sweep = sweep_unit_circle(reduced, grid, refine, tolerances)
+    moduli = np.abs(np.linalg.eigvals(specialize(reduced, sweep.t_star)))
+    if moduli.max() == moduli.min():
+        return replace(sweep, radius_star=1.0)
+    return replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
 
 def reciprocal_conjugate(p: ComplexPolynomial) -> ComplexPolynomial:
@@ -567,7 +591,7 @@ class GapReport:
     lam: float
     grid: int
     sweep: SweepResult
-    min_resultant_abs: float
+    min_resultant_abs: float | None
     min_resultant_theta: float
     fired_points: tuple
     unit_root_points: tuple
@@ -576,24 +600,28 @@ class GapReport:
     gap_holds: bool
 
 
-def strict_gap_check(w: BraidWord, lam: float, grid: int = 4096,
+def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
                      refine: bool = True,
                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
-    """Check lam > sup of the Burau spectral radius over the unit circle.
+    """Check lam > sup of the Burau spectral radius over the unit circle,
+    for a braid given by its full Burau matrix.
 
     For each grid point t the reduced characteristic polynomial is specialized
     at t, rescaled by substituting lam*X for X, and screened for unit-circle
     roots (a root there would witness an eigenvalue of modulus lam).  Also
-    reports the full-matrix sweep maximum against lam.
+    reports the sweep maximum of the full radius, max(1, reduced radius),
+    against lam; the float maximum stands as it is, since a radius read low
+    could accept a gap that does not hold.  ``min_resultant_abs`` is None
+    when no grid point was screened.
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
-    reduced = reduced_burau(w)
-    bi = charpoly(reduced.matrix)
-    full = burau_matrix(w)
-    sweep = sweep_unit_circle(full.matrix, grid, refine, tolerances)
+    reduced = reduce_full(full).matrix
+    bi = charpoly(reduced)
+    sweep = sweep_unit_circle(reduced, grid, refine, tolerances)
+    sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
-    min_res = math.inf
+    min_res = None
     min_res_theta = 0.0
     fired = []
     unit_root = []
@@ -611,7 +639,8 @@ def strict_gap_check(w: BraidWord, lam: float, grid: int = 4096,
         except RootFindingError as exc:
             skipped.append((k, str(exc)))
             continue
-        if cert.resultant_abs is not None and cert.resultant_abs < min_res:
+        if cert.resultant_abs is not None and (
+                min_res is None or cert.resultant_abs < min_res):
             min_res = cert.resultant_abs
             min_res_theta = theta
         if cert.fired:

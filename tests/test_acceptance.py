@@ -137,7 +137,7 @@ def test_criterion_5_example_2_lemma():
     lam = bisect_largest_root(lambda x: x ** 4 - 2 * x ** 3 - 2 * x + 1, 2.0, 3.0)
     assert lam == pytest.approx(2.2966, abs=1e-4)
 
-    report = strict_gap_check(word, lam, grid=4096)
+    report = strict_gap_check(burau_matrix(word), lam, grid=4096)
     assert report.sweep.radius_star < lam
     assert abs(report.sweep.radius_star - EX2_SWEEP_MAX_4096) < 1e-6
     assert not report.unit_root_points

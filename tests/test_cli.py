@@ -191,6 +191,51 @@ class TestExitCodes:
         assert "non-convergence" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_gap_json_without_screened_points_is_strict(capsys, monkeypatch):
+    import burau.spectral as spectral
+
+    def explode(*args, **kwargs):
+        raise spectral.RootFindingError("stuck", [1j], [0.5])
+
+    monkeypatch.setattr(spectral, "unit_circle_root_certificate", explode)
+    code, out, _ = run(capsys, "verify", "-n", "4", "1 -2 -3", "--grid", "16",
+                       "--gap-lambda", "2.2966302628865387", "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["results"]["gap"]["min_resultant_abs"] is None
+
+
+@pytest.mark.parametrize("argv, total", [
+    (("entropy-bound", "-n", "4", "1 -2 -3", "--grid", "64"), 1),
+    (("verify", "-n", "4", "1 -2 -3", "--grid", "64",
+      "--gap-lambda", "2.2966302628865387"), None),
+])
+def test_braid_matrix_is_built_once(capsys, monkeypatch, argv, total):
+    import burau.cli
+    import burau.foxburau
+    import burau.spectral
+    from burau.braid import parse_braid
+
+    build = burau.foxburau.burau_matrix
+    sources = []
+
+    def counting(source):
+        sources.append(source)
+        return build(source)
+
+    for module in (burau.foxburau, burau.spectral, burau.cli):
+        monkeypatch.setattr(module, "burau_matrix", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sources.count(parse_braid("1 -2 -3", 4)) == 1
+    if total is not None:
+        assert len(sources) == total
+
+
 def test_tolerance_flags_are_wired(capsys):
     code, out, _ = run(capsys, "entropy-bound", "-n", "3", "1 -2",
                        "--grid", "64", "--tol-refine", "1e-6",

@@ -12,6 +12,7 @@ from burau.foxburau import (
     fox_derivative,
     fox_derivative_recursive,
     monomial_count,
+    reduce_full,
     reduced_burau,
     verify_multiplicativity,
 )
@@ -270,6 +271,12 @@ class TestReducedBurau:
             left = reduced_burau(compose(u, v)).matrix
             right = reduced_burau(u).matrix * reduced_burau(v).matrix
             assert left == right
+
+    def test_from_built_full_matrix(self, ex2):
+        full = burau_matrix(ex2)
+        assert reduce_full(full) == reduced_burau(ex2)
+        with pytest.raises(ValueError):
+            reduce_full(reduce_full(full))
 
 
 class TestAlexander:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from burau.laurent import LaurentMatrix, charpoly
 from burau.spectral import (
     ComplexPolynomial,
     RootFindingError,
+    burau_radius_sweep,
     char_poly_complex,
     entropy_lower_bound,
     reciprocal_conjugate,
@@ -54,6 +56,17 @@ class TestSpecialize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             specialize(LaurentMatrix.identity(2), 0)
+
+    def test_matches_entrywise_evaluation(self):
+        rng = random.Random(121)
+        for _ in range(20):
+            w = random_braid(rng, max_strands=6, max_length=10)
+            t = cmath.rect(rng.uniform(0.5, 2), rng.uniform(0, 2 * math.pi))
+            for b in (burau_matrix(w), reduced_burau(w)):
+                m = b.matrix
+                expected = [[m.entry(i, j).evaluate(t) for j in range(m.dim)]
+                            for i in range(m.dim)]
+                assert np.allclose(specialize(m, t), expected, rtol=1e-12, atol=1e-12)
 
     def test_bivariate_zero_rejected(self, ex1):
         with pytest.raises(ValueError):
@@ -210,11 +223,68 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_unit_circle(LaurentMatrix.identity(2), grid=4)
 
+    @pytest.mark.parametrize("grid", [64, 63])
+    def test_samples_cover_the_grid_and_mirror(self, ex2, grid):
+        sweep = sweep_unit_circle(reduced_burau(ex2).matrix, grid=grid)
+        assert len(sweep.samples) == grid
+        thetas = [theta for theta, _ in sweep.samples]
+        assert thetas == [2 * math.pi * k / grid for k in range(grid)]
+        values = [value for _, value in sweep.samples]
+        assert all(values[k] == values[grid - k] for k in range(1, grid))
+        assert 0 <= sweep.theta_star <= math.pi
+
+    def test_example_1_refines_one_maximum(self, ex1):
+        sweep = sweep_unit_circle(reduced_burau(ex1).matrix, grid=1024)
+        assert sweep.radius_star == pytest.approx(GOLDEN, abs=1e-12)
+        assert sweep.refinement_iterations < 60
+
+    def test_failed_eigenvalue_point_is_skipped(self, ex1, monkeypatch):
+        m = reduced_burau(ex1).matrix
+        at_one = specialize(m, 1)
+        eigvals = np.linalg.eigvals
+
+        def flaky(a):
+            if (a.ndim == 3 and len(a) > 1) or (a.ndim == 2 and np.allclose(a, at_one)):
+                raise np.linalg.LinAlgError("no convergence")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        sweep = sweep_unit_circle(m, grid=64)
+        assert [k for k, _ in sweep.skipped] == [0]
+        assert len(sweep.samples) == 63
+        assert sweep.radius_star == pytest.approx(GOLDEN, abs=1e-12)
+
+
+def power(m, p: int):
+    out = m
+    for _ in range(p - 1):
+        out = out * m
+    return out
+
+
+def full_twist(n: int) -> BraidWord:
+    """(s1 s2 ... s_{n-1})^n: central, its reduced Burau matrix is t^n I."""
+    return BraidWord(n, tuple(range(1, n)) * n)
+
 
 class TestEntropyBound:
     def test_example_1(self, ex1):
         report = entropy_lower_bound(ex1, grid=256)
         assert report.bound == pytest.approx(math.log(GOLDEN), abs=1e-8)
+
+    @pytest.mark.parametrize("n, grid", [(5, 128), (6, 96)])
+    def test_full_twist_is_zero(self, n, grid):
+        report = entropy_lower_bound(full_twist(n), grid=grid)
+        assert report.bound == 0
+        assert report.sweep.radius_star <= 1 + 1e-12
+
+    @pytest.mark.parametrize("p", [12, 20])
+    def test_large_radius_is_the_float_maximum(self, ex1, p):
+        # (s1 s2^-1)^p has radius GOLDEN^p at t = -1 and an eigenvalue of
+        # modulus GOLDEN^-p, far below the float eigenvalue error there
+        step = reduced_burau(ex1).matrix
+        sweep = burau_radius_sweep(power(step, p), grid=256)
+        assert sweep.radius_star == pytest.approx(GOLDEN ** p, rel=1e-12)
 
     def test_identity_braid(self):
         report = entropy_lower_bound(BraidWord(3, ()), grid=64)
@@ -299,18 +369,26 @@ class TestUnitCircleCertificate:
 
 class TestStrictGap:
     def test_example_1_equality_case_fails(self, ex1):
-        report = strict_gap_check(ex1, GOLDEN, grid=128)
+        report = strict_gap_check(burau_matrix(ex1), GOLDEN, grid=128)
         assert not report.gap_holds
         assert any(abs(theta - math.pi) < 1e-9 for theta in report.unit_root_points)
 
     def test_identity_braid_trivially_gapped(self):
-        report = strict_gap_check(BraidWord(3, ()), 2.0, grid=64)
+        report = strict_gap_check(burau_matrix(BraidWord(3, ())), 2.0, grid=64)
         assert report.gap_holds
         assert not report.fired_points
 
+    def test_large_radius_is_the_float_maximum(self, ex1):
+        step = burau_matrix(ex1)
+        full = replace(step, matrix=power(step.matrix, 12),
+                       exponent_sum=12 * step.exponent_sum)
+        report = strict_gap_check(full, 2 * GOLDEN ** 12, grid=64)
+        assert report.sweep.radius_star == pytest.approx(GOLDEN ** 12, rel=1e-12)
+        assert report.gap_holds
+
     def test_lambda_guard(self, ex1):
         with pytest.raises(ValueError):
-            strict_gap_check(ex1, 0.5)
+            strict_gap_check(burau_matrix(ex1), 0.5)
 
 
 class TestReciprocalSymmetry:
