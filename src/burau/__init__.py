@@ -1,9 +1,10 @@
 """Entropy lower bounds for disk braids.
 
-Braid words act on a free group; Fox derivatives of the action give the
-Burau matrix over the Laurent ring, and spectral radii of its unit-circle
-specializations bound the growth rate (hence the topological entropy of any
-homeomorphism realizing the braid) from below.
+Braid words act on a free group; the Burau matrix over the Laurent ring (the
+abelianized Fox Jacobian of that action) is a product of generator matrices,
+and spectral radii of its unit-circle specializations bound the growth rate
+(hence the topological entropy of any homeomorphism realizing the braid) from
+below.
 """
 
 from .braid import (
@@ -18,15 +19,10 @@ from .braid import (
 )
 from .foxburau import (
     BurauMatrix,
-    GroupRingElement,
-    abelianize,
     alexander_polynomial,
     burau_matrix,
-    fox_derivative,
-    monomial_count,
     reduce_full,
     reduced_burau,
-    verify_multiplicativity,
 )
 from .freegroup import (
     FreeAutomorphism,
@@ -40,7 +36,6 @@ from .freegroup import (
     matrix_norm,
     occurrence_matrix,
     reduce_word,
-    verify_braid_property,
 )
 from .laurent import BivariatePoly, LaurentMatrix, LaurentPoly, charpoly
 from .spectral import (

@@ -29,7 +29,7 @@ from .foxburau import (
     reduced_burau,
 )
 from .freegroup import artin_action, growth_rate_estimate, occurrence_matrix
-from .laurent import charpoly
+from .laurent import _fmt_complex, charpoly
 from .spectral import (
     DEFAULT_TOLERANCES,
     RootFindingError,
@@ -68,11 +68,6 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _fmt_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}j"
 
 
 def _build_parser() -> argparse.ArgumentParser:

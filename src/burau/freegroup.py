@@ -223,28 +223,6 @@ def matrix_norm(m: OccurrenceMatrix) -> int:
     return max(sum(row) for row in m.entries)
 
 
-def verify_braid_property(a: FreeAutomorphism) -> bool:
-    """True iff every image is a conjugate of a single generator and the
-    ordered product of the images reduces to x_1 x_2 ... x_n."""
-    for img in a.images:
-        letters = img.letters
-        if len(letters) % 2 == 0:
-            return False
-        mid = len(letters) // 2
-        if letters[mid] <= 0:
-            return False
-        if any(letters[k] != -letters[-1 - k] for k in range(mid)):
-            return False
-    product: list = []
-    for img in a.images:
-        for v in img.letters:
-            if product and product[-1] == -v:
-                product.pop()
-            else:
-                product.append(v)
-    return product == list(range(1, a.rank + 1))
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     """Norm sequence of iterated occurrence matrices plus certification data.

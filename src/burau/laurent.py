@@ -187,11 +187,7 @@ class LaurentPoly:
                 else:
                     body = f"{mag}*{_t_name(exp)}"
             pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_signed(pieces)
 
     def to_json(self) -> dict:
         """Map from exponent strings to coefficient strings (exact) or [re, im]."""
@@ -219,6 +215,14 @@ def _t_name(exp: int) -> str:
 
 def _t_suffix(exp: int) -> str:
     return "" if exp == 0 else "*" + _t_name(exp)
+
+
+def join_signed(pieces) -> str:
+    """Join (sign, body) pieces into "body ± body ...": the first piece shows
+    its sign only when it is a minus."""
+    first_sign, first_body = pieces[0]
+    head = ("-" if first_sign == "-" else "") + first_body
+    return head + "".join(f" {sign} {body}" for sign, body in pieces[1:])
 
 
 def _fmt_complex(z: complex) -> str:
@@ -373,11 +377,7 @@ class BivariatePoly:
             if c.is_zero:
                 continue
             pieces.append(_bivariate_piece(c, k, var))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_signed(pieces)
 
     def to_json(self, var: str = "x") -> dict:
         return {"variable": var, "coefficients": [c.to_json() for c in self.coeffs]}

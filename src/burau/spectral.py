@@ -14,7 +14,14 @@ import numpy as np
 
 from .braid import BraidWord
 from .foxburau import BurauMatrix, burau_matrix, reduce_full
-from .laurent import INT, BivariatePoly, LaurentMatrix, charpoly
+from .laurent import (
+    INT,
+    BivariatePoly,
+    LaurentMatrix,
+    _fmt_complex,
+    charpoly,
+    join_signed,
+)
 
 MAX_COMPLEX_DIM = 64
 LEADING_EPS = 1e-12
@@ -73,10 +80,7 @@ class ComplexPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
     def render(self, var: str = "X") -> str:
         pieces = []
@@ -86,11 +90,7 @@ class ComplexPolynomial:
             pieces.append(_complex_piece(c, k, var))
         if not pieces:
             return "0"
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_signed(pieces)
 
 
 def _complex_piece(c: complex, k: int, var: str):
@@ -104,7 +104,7 @@ def _complex_piece(c: complex, k: int, var: str):
         if xpart:
             body += f"*{xpart}"
         return sign, body
-    body = f"({c.real:.12g}{'+' if c.imag >= 0 else '-'}{abs(c.imag):.12g}j)"
+    body = f"({_fmt_complex(c)})"
     if xpart:
         body += f"*{xpart}"
     return "+", body
@@ -314,8 +314,8 @@ def _polish_multiple_root(monic, z: complex, multiplicity: int) -> complex:
     dd = [k * c for k, c in enumerate(d)][1:]
     candidate = z
     for _ in range(50):
-        pv = _poly_eval(d, candidate)
-        dv = _poly_eval(dd, candidate)
+        pv = _horner(d, candidate)
+        dv = _horner(dd, candidate)
         if dv == 0:
             break
         step = pv / dv
@@ -330,7 +330,8 @@ def _polish_multiple_root(monic, z: complex, multiplicity: int) -> complex:
     return candidate
 
 
-def _poly_eval(coeffs, z: complex) -> complex:
+def _horner(coeffs, z: complex) -> complex:
+    """Value of the polynomial with ascending coefficients at z."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c

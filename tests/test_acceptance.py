@@ -15,14 +15,7 @@ import pytest
 
 from burau.braid import BraidWord, parse_braid, permutation
 from burau.cli import main
-from burau.foxburau import (
-    GroupRingElement,
-    burau_matrix,
-    fox_derivative,
-    monomial_count,
-    reduced_burau,
-    verify_multiplicativity,
-)
+from burau.foxburau import burau_matrix, reduced_burau
 from burau.freegroup import (
     FreeWord,
     artin_action,
@@ -43,6 +36,12 @@ from burau.spectral import (
     sweep_unit_circle,
 )
 from conftest import bisect_largest_root, random_reduced_word
+from fox_calculus import (
+    GroupRingElement,
+    fox_derivative,
+    monomial_count,
+    verify_multiplicativity,
+)
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 

@@ -2,22 +2,14 @@ import random
 
 import pytest
 
-from burau.braid import BraidWord, compose, permutation
+from burau.braid import BraidWord, compose, parse_braid, permutation
 from burau.foxburau import (
-    GroupRingElement,
-    abelianize,
     alexander_polynomial,
     burau_matrix,
-    extend_linearly,
-    fox_derivative,
-    fox_derivative_recursive,
-    monomial_count,
     reduce_full,
     reduced_burau,
-    verify_multiplicativity,
 )
 from burau.freegroup import (
-    FreeAutomorphism,
     FreeWord,
     artin_action,
     concat,
@@ -26,6 +18,16 @@ from burau.freegroup import (
 )
 from burau.laurent import BivariatePoly, LaurentPoly, charpoly
 from conftest import random_braid, random_reduced_word
+from fox_calculus import (
+    GroupRingElement,
+    abelianize,
+    extend_linearly,
+    fox_burau_matrix,
+    fox_derivative,
+    fox_derivative_recursive,
+    monomial_count,
+    verify_multiplicativity,
+)
 
 
 def ring(rank, mapping):
@@ -152,6 +154,15 @@ class TestMonomialCount:
                 assert monomial_count(fox_derivative(w, j)) == occurrence_count(w, j)
 
 
+@pytest.fixture(scope="module")
+def long_b5():
+    """A seeded 1000-letter B5 word and its Burau matrix."""
+    rng = random.Random(123)
+    w = BraidWord(5, tuple(rng.choice((1, -1)) * rng.randint(1, 4)
+                           for _ in range(1000)))
+    return w, burau_matrix(w)
+
+
 class TestBurauMatrix:
     def test_single_generator(self):
         b = burau_matrix(BraidWord(2, (1,)))
@@ -167,48 +178,56 @@ class TestBurauMatrix:
         assert b.matrix == LaurentMatrix.identity(4)
         assert b.exponent_sum == 0
 
-    def test_from_automorphism(self, ex1):
-        direct = burau_matrix(ex1)
-        via_auto = burau_matrix(artin_action(ex1))
-        assert direct.matrix == via_auto.matrix
-        assert direct.exponent_sum == via_auto.exponent_sum == 0
+    def test_matches_fox_jacobian(self):
+        words = []
+        for n in range(2, 8):
+            words.append(BraidWord(n, ()))
+            words.extend(BraidWord(n, (v,)) for i in range(1, n) for v in (i, -i))
+        rng = random.Random(122)
+        words.extend(random_braid(rng, max_strands=7, max_length=12)
+                     for _ in range(300))
+        for w in words:
+            built = burau_matrix(w)
+            oracle = fox_burau_matrix(artin_action(w))
+            assert built.matrix.rows == oracle.matrix.rows
+            assert built.exponent_sum == oracle.exponent_sum
 
-    def test_rejects_non_braid_automorphism(self):
-        auto = FreeAutomorphism(2, (FreeWord(2, (1, 2)), FreeWord(2, (2,))))
-        with pytest.raises(ValueError):
-            burau_matrix(auto)
-
-    def test_row_sums_are_one(self):
+    def test_row_sums_are_one(self, long_b5):
         rng = random.Random(114)
         one = LaurentPoly.one()
-        for _ in range(50):
-            b = burau_matrix(random_braid(rng))
+        for b in [burau_matrix(random_braid(rng)) for _ in range(50)] + [long_b5[1]]:
             for i in range(b.dim):
                 total = LaurentPoly.zero()
                 for j in range(b.dim):
                     total = total + b.matrix.entry(i, j)
                 assert total == one
 
-    def test_weighted_column_identity(self):
+    def test_weighted_column_identity(self, long_b5):
         rng = random.Random(115)
-        for _ in range(50):
-            b = burau_matrix(random_braid(rng))
+        for b in [burau_matrix(random_braid(rng)) for _ in range(50)] + [long_b5[1]]:
             for j in range(b.dim):
                 acc = LaurentPoly.zero()
                 for k in range(b.dim):
                     acc = acc + LaurentPoly.t_power(k) * b.matrix.entry(k, j)
                 assert acc == LaurentPoly.t_power(j)
 
-    def test_at_one_is_permutation_matrix(self):
+    def test_at_one_is_permutation_matrix(self, long_b5):
         rng = random.Random(116)
-        for _ in range(50):
-            w = random_braid(rng)
-            b = burau_matrix(w)
+        cases = [(w, burau_matrix(w)) for w in (random_braid(rng) for _ in range(50))]
+        for w, b in cases + [long_b5]:
             perm = permutation(w)
             for i in range(b.dim):
                 for j in range(b.dim):
                     expected = 1 if perm[i] == j + 1 else 0
                     assert b.matrix.entry(i, j).coefficient_sum() == expected
+
+    def test_long_power_of_example_1(self, ex1):
+        # The Artin images of (1 -2)^12 run to about 300k letters.
+        base = burau_matrix(ex1).matrix
+        power = base
+        for _ in range(11):
+            power = power * base
+        assert burau_matrix(parse_braid(" ".join(["1 -2"] * 12), 3)).matrix == power
 
 
 class TestMultiplicativity:

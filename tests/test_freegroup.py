@@ -19,9 +19,9 @@ from burau.freegroup import (
     occurrence_matrix,
     reduce_word,
     substitute,
-    verify_braid_property,
 )
 from conftest import random_braid, random_reduced_word
+from fox_calculus import verify_braid_property
 
 
 class TestReduce:
