@@ -30,6 +30,10 @@ _MACHINE_EPS = 2.220446049250313e-16
 _CLUSTER_RADIUS = 6e-2
 _CLUSTER_GATE = 1e-10
 
+# Grid points per block of the batched strict-gap screen, so that its
+# Sylvester and eigenvalue stacks stay small whatever the grid.
+_SCREEN_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -115,42 +119,53 @@ def specialize(m: LaurentMatrix, t: complex) -> np.ndarray:
     return _evaluate(*_coefficient_array(m), [t])[0]
 
 
-def _coefficient_array(m: LaurentMatrix):
-    """Dense (d, d, K) coefficient array of m and the exponent of its first
-    slice: m(t) = sum_k coeffs[:, :, k] * t^(low + k)."""
-    exps = [e for row in m.rows for entry in row for e, _ in entry.terms]
+def _coefficient_array(m: LaurentMatrix | BivariatePoly):
+    """Dense coefficient array of a Laurent matrix, (d, d, K), or of the
+    Laurent coefficients of a polynomial in X, (degree + 1, K), and the
+    exponent of its first slice: m(t) = sum_k coeffs[..., k] * t^(low + k)."""
+    if isinstance(m, BivariatePoly):
+        shape, entries = (len(m.coeffs),), m.coeffs
+    else:
+        shape, entries = (m.dim, m.dim), [e for row in m.rows for e in row]
+    exps = [e for entry in entries for e, _ in entry.terms]
     low = min(exps, default=0)
-    coeffs = np.zeros((m.dim, m.dim, max(exps, default=0) - low + 1), dtype=complex)
-    for i, row in enumerate(m.rows):
-        for j, entry in enumerate(row):
-            for e, c in entry.terms:
-                coeffs[i, j, e - low] = c
-    return coeffs, low
+    coeffs = np.zeros((len(entries), max(exps, default=0) - low + 1), dtype=complex)
+    for i, entry in enumerate(entries):
+        for e, c in entry.terms:
+            coeffs[i, e - low] = c
+    return coeffs.reshape(*shape, coeffs.shape[1]), low
 
 
 def _evaluate(coeffs: np.ndarray, low: int, ts) -> np.ndarray:
-    """The (points, d, d) stack of m(t), one matrix per nonzero t in ts."""
+    """The stack of m(t), one slice per nonzero t in ts, for the coefficient
+    array of m."""
     ts = np.asarray(ts, dtype=complex)
     if np.any(ts == 0):
         raise ValueError("cannot specialize at t = 0")
-    powers = ts[:, None] ** np.arange(low, low + coeffs.shape[2])
-    stack = np.einsum("ijk,pk->pij", coeffs, powers)
+    powers = ts[:, None] ** np.arange(low, low + coeffs.shape[-1])
+    stack = np.einsum("...k,pk->p...", coeffs, powers)
     if not np.all(np.isfinite(stack.view(float))):
         raise ValueError("specialization produced non-finite entries")
     return stack
 
 
-def _radii(stack: np.ndarray) -> np.ndarray:
-    """Spectral radius of every matrix in the stack, by batched eigenvalues;
-    NaN where the eigenvalue iteration fails."""
+def _moduli(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalue moduli of every matrix in the stack, by batched eigenvalues;
+    a row of NaN where the eigenvalue iteration fails."""
     try:
-        return np.abs(np.linalg.eigvals(stack)).max(-1)
+        return np.abs(np.linalg.eigvals(stack))
     except np.linalg.LinAlgError:
-        out = np.full(len(stack), np.nan)
+        out = np.full(stack.shape[:-1], np.nan)
         for p, a in enumerate(stack):
             with contextlib.suppress(np.linalg.LinAlgError):
-                out[p] = np.abs(np.linalg.eigvals(a)).max()
+                out[p] = np.abs(np.linalg.eigvals(a))
         return out
+
+
+def _mirror(values: np.ndarray, grid: int) -> np.ndarray:
+    """Values at k = 0 .. count - 1 of the grid 2 pi k / grid, extended to
+    the whole grid by value(-theta) = value(theta)."""
+    return np.concatenate([values, values[1:grid - len(values) + 1][::-1]])
 
 
 def specialize_bivariate(p: BivariatePoly, t: complex) -> ComplexPolynomial:
@@ -372,8 +387,9 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
     maxima lie in [0, pi].  Golden-section refinement runs around each strict
     local maximum whose grid value lies within ``margin`` of the grid
     maximum, where ``margin`` is the largest difference between neighbouring
-    grid values.  Points where the eigenvalue iteration fails are skipped,
-    not fatal.
+    grid values; the searches advance in lockstep, one batched evaluation
+    per step.  Points where the eigenvalue iteration fails are skipped, not
+    fatal.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
@@ -381,12 +397,13 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
     symmetric = m.domain == INT
     count = grid // 2 + 1 if symmetric else grid
     thetas = 2 * math.pi * np.arange(grid) / grid
-    values = _radii(_evaluate(coeffs, low, np.exp(1j * thetas[:count])))
-    values = np.concatenate([values, values[1:grid - count + 1][::-1]])
+    values = _mirror(
+        _moduli(_evaluate(coeffs, low, np.exp(1j * thetas[:count]))).max(-1), grid)
 
-    def radius_at(theta: float) -> float:
-        value = _radii(_evaluate(coeffs, low, [cmath.exp(1j * theta)]))[0]
-        return -math.inf if math.isnan(value) else float(value)
+    def radii_at(points: list) -> list:
+        stack = _evaluate(coeffs, low, [cmath.exp(1j * theta) for theta in points])
+        return [-math.inf if math.isnan(value) else value
+                for value in _moduli(stack).max(-1).tolist()]
 
     finite = ~np.isnan(values)
     samples = tuple((theta, value) for theta, value, ok in
@@ -407,10 +424,10 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
         peaks = ((v >= left) & (v >= right) & ((v > left) | (v > right))
                  & (v >= best_value - margin))
         step = 2 * math.pi / grid
-        for center in thetas[:count][peaks[:count]].tolist():
-            theta, value, its = _golden_section_max(
-                radius_at, center - step, center + step,
-                tolerances.refine_interval)
+        searches = [_golden_section_max(center - step, center + step,
+                                        tolerances.refine_interval)
+                    for center in thetas[:count][peaks[:count]].tolist()]
+        for theta, value, its in _lockstep(radii_at, searches):
             iterations += its
             theta %= 2 * math.pi
             if symmetric and theta > math.pi:
@@ -432,24 +449,43 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
 _INV_PHI = (math.sqrt(5.0) - 1) / 2
 
 
-def _golden_section_max(f, a: float, b: float, interval_tol: float):
+def _golden_section_max(a: float, b: float, interval_tol: float):
+    """Golden-section search for a maximum in [a, b], as a generator: it
+    yields each point it needs, is sent the function value there, and
+    returns (theta, value, iterations)."""
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
-    fc = f(c)
-    fd = f(d)
+    fc = yield c
+    fd = yield d
     iterations = 0
     while b - a > interval_tol:
         iterations += 1
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INV_PHI
-            fd = f(d)
+            fd = yield d
     theta = (a + b) / 2
-    return theta, max(f(theta), fc, fd), iterations
+    return theta, max((yield theta), fc, fd), iterations
+
+
+def _lockstep(f, searches: list) -> list:
+    """Runs generator searches side by side.  Each step evaluates the points
+    that the unfinished searches ask for with one call of f on their list
+    and sends each search its value.  Returns the searches' results."""
+    results = [None] * len(searches)
+    asks = {k: next(search) for k, search in enumerate(searches)}
+    while asks:
+        for k, value in zip(list(asks), f(list(asks.values()))):
+            try:
+                asks[k] = searches[k].send(value)
+            except StopIteration as done:
+                results[k] = done.value
+                del asks[k]
+    return results
 
 
 _SPOT_POINTS = (
@@ -573,15 +609,20 @@ def unit_circle_root_certificate(p: ComplexPolynomial, tol: float | None = None,
         res_abs = None
         fired = False
     min_distance = min(abs(abs(r) - 1) for r in roots(p, tolerances))
-    refute_margin = max(1e-6, 10 * tolerances.comparison)
     if min_distance <= tolerances.comparison:
         verdict = "has unit root"
-    elif fired and min_distance <= refute_margin:
+    elif fired and min_distance <= _refute_margin(tolerances):
         verdict = "inconclusive"
     else:
         verdict = "no unit root"
     return UnitRootCertificate(resultant_abs=res_abs, fired=fired,
                                min_unit_distance=min_distance, verdict=verdict)
+
+
+def _refute_margin(tolerances: Tolerances) -> float:
+    """Root-modulus distance from the unit circle beyond which a fired
+    screen no longer makes the certificate inconclusive."""
+    return max(1e-6, 10 * tolerances.comparison)
 
 
 @dataclass(frozen=True)
@@ -607,13 +648,22 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     """Check lam > sup of the Burau spectral radius over the unit circle,
     for a braid given by its full Burau matrix.
 
-    For each grid point t the reduced characteristic polynomial is specialized
-    at t, rescaled by substituting lam*X for X, and screened for unit-circle
-    roots (a root there would witness an eigenvalue of modulus lam).  Also
-    reports the sweep maximum of the full radius, max(1, reduced radius),
-    against lam; the float maximum stands as it is, since a radius read low
-    could accept a gap that does not hold.  ``min_resultant_abs`` is None
-    when no grid point was screened.
+    At each grid point t the reduced characteristic polynomial is
+    specialized at t, rescaled by substituting lam*X for X, and screened for
+    unit-circle roots (a root there would witness an eigenvalue of modulus
+    lam).  The screen is one batched pass over k = 0 .. grid/2, in blocks of
+    ``_SCREEN_BLOCK`` points, mirrored to the rest of the grid: |Res(p, p*)|
+    from a stack of Sylvester determinants, and the root-modulus distance
+    min | |mu|/lam - 1 | from the eigenvalues mu of the reduced matrix.
+    Gray-band points (the resultant fires, the distance is within the
+    certificate's refutation margin, 1e-6 by default, or p* drops degree)
+    are decided by the per-point ``unit_circle_root_certificate`` instead,
+    whose root finder resolves the multiple roots that float eigenvalues
+    smear; every other point has no unit root.  A point where the
+    eigenvalue iteration or the root finder fails is skipped.  Also reports the sweep maximum of the full radius, max(1,
+    reduced radius), against lam; the float maximum stands as it is, since a
+    radius read low could accept a gap that does not hold.
+    ``min_resultant_abs`` is None when no grid point was screened.
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
@@ -622,16 +672,22 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     sweep = sweep_unit_circle(reduced, grid, refine, tolerances)
     sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
-    min_res = None
-    min_res_theta = 0.0
+    count = grid // 2 + 1 if reduced.domain == INT else grid
+    thetas = 2 * math.pi * np.arange(grid) / grid
+    res, distance = (_mirror(values, grid) for values in _unit_root_screen(
+        reduced, bi, lam, np.exp(1j * thetas[:count])))
+    failed = np.isnan(res) | np.isnan(distance)
+    gray = ~failed & ((res < tolerances.certificate)
+                      | (distance <= _refute_margin(tolerances)))
+    res[failed] = np.nan
+    skipped = [(k, "eigenvalue iteration did not converge")
+               for k in np.flatnonzero(failed).tolist()]
     fired = []
     unit_root = []
     inconclusive = []
-    skipped = []
-    for k in range(grid):
+    for k in np.flatnonzero(gray).tolist():
         theta = 2 * math.pi * k / grid
-        t = cmath.exp(1j * theta)
-        poly = specialize_bivariate(bi, t)
+        poly = specialize_bivariate(bi, cmath.exp(1j * theta))
         scaled = ComplexPolynomial.make(
             tuple(c * lam ** idx for idx, c in enumerate(poly.coeffs)))
         try:
@@ -639,11 +695,9 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
                                                 tolerances)
         except RootFindingError as exc:
             skipped.append((k, str(exc)))
+            res[k] = np.nan
             continue
-        if cert.resultant_abs is not None and (
-                min_res is None or cert.resultant_abs < min_res):
-            min_res = cert.resultant_abs
-            min_res_theta = theta
+        res[k] = np.nan if cert.resultant_abs is None else cert.resultant_abs
         if cert.fired:
             fired.append(theta)
         if cert.verdict == "has unit root":
@@ -651,6 +705,11 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         elif cert.verdict == "inconclusive":
             inconclusive.append(theta)
 
+    min_res = None
+    min_res_theta = 0.0
+    if not np.all(np.isnan(res)):
+        k = int(np.nanargmin(res))
+        min_res, min_res_theta = float(res[k]), float(thetas[k])
     gap_holds = sweep.radius_star < lam and not unit_root
     return GapReport(
         lam=lam,
@@ -661,6 +720,35 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         fired_points=tuple(fired),
         unit_root_points=tuple(unit_root),
         inconclusive_points=tuple(inconclusive),
-        skipped=tuple(skipped),
+        skipped=tuple(sorted(skipped)),
         gap_holds=gap_holds,
     )
+
+
+def _unit_root_screen(reduced: LaurentMatrix, bi: BivariatePoly, lam: float,
+                      ts: np.ndarray):
+    """Batched unit-root screen of p(X) = charpoly(reduced)(lam X) at the
+    points ts, in blocks of ``_SCREEN_BLOCK``: |Res(p, p*)| from one
+    Sylvester determinant per point, and min | |mu|/lam - 1 | over the
+    eigenvalues mu of reduced(t), whose quotients by lam are the roots of p.
+    The distance is NaN where the eigenvalue iteration fails; the resultant
+    is 0 where p* drops degree (the constant term of p is below
+    ``LEADING_EPS``), which sends the point to the per-point certificate."""
+    mcoeffs, mlow = _coefficient_array(reduced)
+    pcoeffs, plow = _coefficient_array(bi)
+    d = len(bi.coeffs) - 1
+    scale = lam ** np.arange(d + 1)
+    res = np.empty(len(ts))
+    distance = np.empty(len(ts))
+    for start in range(0, len(ts), _SCREEN_BLOCK):
+        block = slice(start, start + _SCREEN_BLOCK)
+        p = _evaluate(pcoeffs, plow, ts[block]) * scale
+        sylvester = np.zeros((len(p), 2 * d, 2 * d), dtype=complex)
+        for r in range(d):
+            sylvester[:, r, r:r + d + 1] = p[:, ::-1]
+            sylvester[:, d + r, r:r + d + 1] = p.conj()
+        res[block] = np.where(np.abs(p[:, 0]) > LEADING_EPS,
+                              np.abs(np.linalg.det(sylvester)), 0.0)
+        moduli = _moduli(_evaluate(mcoeffs, mlow, ts[block]))
+        distance[block] = np.abs(moduli / lam - 1).min(-1)
+    return res, distance

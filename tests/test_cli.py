@@ -196,12 +196,14 @@ def _reject_constant(name):
 
 
 def test_gap_json_without_screened_points_is_strict(capsys, monkeypatch):
-    import burau.spectral as spectral
+    import numpy as np
 
     def explode(*args, **kwargs):
-        raise spectral.RootFindingError("stuck", [1j], [0.5])
+        raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(spectral, "unit_circle_root_certificate", explode)
+    # The batched screen takes its root moduli from eigenvalues; when they
+    # fail, batched and per point, every grid point is skipped.
+    monkeypatch.setattr(np.linalg, "eigvals", explode)
     code, out, _ = run(capsys, "verify", "-n", "4", "1 -2 -3", "--grid", "16",
                        "--gap-lambda", "2.2966302628865387", "--format", "json")
     assert code == 0

@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from burau.braid import BraidWord, permutation
-from burau.foxburau import burau_matrix, reduced_burau
+from burau.braid import BraidWord, parse_braid, permutation
+from burau.foxburau import burau_matrix, reduce_full, reduced_burau
 from burau.freegroup import artin_action, compose_autos, occurrence_matrix
 from burau.laurent import LaurentMatrix, charpoly
 from burau.spectral import (
@@ -25,8 +26,11 @@ from burau.spectral import (
     strict_gap_check,
     sweep_unit_circle,
     unit_circle_root_certificate,
+    _golden_section_max,
+    _lockstep,
 )
 from conftest import bisect_largest_root, random_braid
+from pointwise_gap import point_certificate, pointwise_strict_gap_check
 
 GOLDEN = (3 + math.sqrt(5)) / 2
 
@@ -367,6 +371,25 @@ class TestUnitCircleCertificate:
         assert cert.verdict == "inconclusive"
 
 
+EX2_LAMBDA = bisect_largest_root(lambda x: x ** 4 - 2 * x ** 3 - 2 * x + 1, 2.0, 3.0)
+EX3_LAMBDA = bisect_largest_root(lambda x: x ** 4 - x ** 3 - x ** 2 - x + 1, 1.7, 1.8)
+
+# Examples 1-3 at their closed-form rates and just off them, example 2 at
+# its largest grid radius (None: an eigenvalue of modulus lam at a grid point
+# off the real axis and at its mirror image), a ladder, the B5 full twist
+# (reduced matrix t^5 I) and the identity braid.
+GAP_CASES = [
+    *((n, word, lam * f)
+      for n, word, lam in ((3, "1 -2", GOLDEN), (4, "1 -2 -3", EX2_LAMBDA),
+                           (5, "4 3 2 1 4 3", EX3_LAMBDA))
+      for f in (1.0, 1 - 1e-6, 1 + 1e-6)),
+    (4, "1 -2 -3", None),
+    (6, "1 -2 3 -4 5", 3.0),
+    (5, " ".join(["1 2 3 4"] * 5), 1.5),
+    (3, "", 2.0),
+]
+
+
 class TestStrictGap:
     def test_example_1_equality_case_fails(self, ex1):
         report = strict_gap_check(burau_matrix(ex1), GOLDEN, grid=128)
@@ -389,6 +412,54 @@ class TestStrictGap:
     def test_lambda_guard(self, ex1):
         with pytest.raises(ValueError):
             strict_gap_check(burau_matrix(ex1), 0.5)
+
+    @pytest.mark.parametrize("grid", [256, 255])
+    @pytest.mark.parametrize("n, word, lam", GAP_CASES)
+    def test_screen_matches_pointwise_oracle(self, n, word, lam, grid):
+        full = burau_matrix(parse_braid(word, n))
+        if lam is None:
+            sweep = sweep_unit_circle(reduce_full(full).matrix, grid, refine=False)
+            lam = max(value for _, value in sweep.samples)
+        got = strict_gap_check(full, lam, grid=grid)
+        want = pointwise_strict_gap_check(full, lam, grid=grid)
+        assert got.fired_points == want.fired_points
+        assert got.unit_root_points == want.unit_root_points
+        assert got.inconclusive_points == want.inconclusive_points
+        assert [k for k, _ in got.skipped] == [k for k, _ in want.skipped]
+        assert got.gap_holds == want.gap_holds
+        assert got.sweep.radius_star == want.sweep.radius_star
+        assert got.min_resultant_abs == pytest.approx(want.min_resultant_abs,
+                                                      rel=1e-9)
+        # |Res| is even in theta (and constant for the full twist), so the
+        # oracle's first minimum may be a rounding-level tie elsewhere: its
+        # resultant at the screen's theta must be the same minimum.
+        at_theta = point_certificate(charpoly(reduce_full(full).matrix), lam,
+                                     got.min_resultant_theta).resultant_abs
+        assert at_theta == pytest.approx(want.min_resultant_abs, rel=1e-9)
+
+    def test_screen_memory_is_blocked(self, ex3):
+        full = burau_matrix(ex3)
+        tracemalloc.start()
+        try:
+            strict_gap_check(full, EX3_LAMBDA, grid=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Blocks of 256 points peak near 1 MB; a Sylvester stack over the
+        # whole half grid peaks near 3.4 MB.
+        assert peak < 2_000_000
+
+
+def test_lockstep_searches_match_single_runs():
+    # Intervals of different widths finish after different step counts.
+    def f(points):
+        return [math.cos(3 * x) + 0.1 * x for x in points]
+
+    spans = [(-0.3, 0.2), (1.9, 2.3), (4.0, 4.1)]
+    together = _lockstep(f, [_golden_section_max(a, b, 1e-10) for a, b in spans])
+    alone = [_lockstep(f, [_golden_section_max(a, b, 1e-10)])[0] for a, b in spans]
+    assert together == alone
+    assert len({its for _, _, its in together}) > 1
 
 
 class TestReciprocalSymmetry:
