@@ -663,7 +663,9 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     eigenvalue iteration or the root finder fails is skipped.  Also reports the sweep maximum of the full radius, max(1,
     reduced radius), against lam; the float maximum stands as it is, since a
     radius read low could accept a gap that does not hold.
-    ``min_resultant_abs`` is None when no grid point was screened.
+    ``min_resultant_abs`` is None when no grid point was screened.  A gap
+    holds only on complete evidence: no grid point skipped, by the screen or
+    by the sweep, no unit root, and the sweep maximum below lam.
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
@@ -710,7 +712,8 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     if not np.all(np.isnan(res)):
         k = int(np.nanargmin(res))
         min_res, min_res_theta = float(res[k]), float(thetas[k])
-    gap_holds = sweep.radius_star < lam and not unit_root
+    gap_holds = (sweep.radius_star < lam and not unit_root and not skipped
+                 and not sweep.skipped)
     return GapReport(
         lam=lam,
         grid=grid,

@@ -65,7 +65,8 @@ def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         elif cert.verdict == "inconclusive":
             inconclusive.append(theta)
 
-    gap_holds = sweep.radius_star < lam and not unit_root
+    gap_holds = (sweep.radius_star < lam and not unit_root and not skipped
+                 and not sweep.skipped)
     return GapReport(
         lam=lam,
         grid=grid,

@@ -1,9 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from burau.cli import main
+from burau.cli import EXIT_CHECK_FAILED, main
 
 
 def run(capsys, *argv):
@@ -195,6 +196,21 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
+# Stdout of growth commands as the pure-Python free-group layer printed it
+# (the loop kept in tests/freegroup_oracle.py): the two growth operations of
+# the benchmark's exact workload, a run with cancellation, and one that
+# exhausts its letter budget, each in JSON and text.
+GROWTH_GOLDEN = json.loads(
+    (Path(__file__).with_name("growth_cli_golden.json")).read_text())
+
+
+@pytest.mark.parametrize("case", GROWTH_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_growth_output_is_byte_identical(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
 def test_gap_json_without_screened_points_is_strict(capsys, monkeypatch):
     import numpy as np
 
@@ -206,7 +222,8 @@ def test_gap_json_without_screened_points_is_strict(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", explode)
     code, out, _ = run(capsys, "verify", "-n", "4", "1 -2 -3", "--grid", "16",
                        "--gap-lambda", "2.2966302628865387", "--format", "json")
-    assert code == 0
+    # No grid point carries evidence, so the gap is refused.
+    assert code == EXIT_CHECK_FAILED
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["results"]["gap"]["min_resultant_abs"] is None
 

@@ -1,10 +1,14 @@
+import copy
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from burau.braid import BraidWord, compose
+import freegroup_oracle as oracle
+from burau.braid import BraidWord, compose, parse_braid
 from burau.freegroup import (
     FreeAutomorphism,
     FreeWord,
@@ -12,9 +16,12 @@ from burau.freegroup import (
     artin_action,
     compose_autos,
     compose_autos_detailed,
+    concat,
     generator,
     growth_rate_estimate,
     identity_automorphism,
+    inverse_word,
+    letter_dtype,
     matrix_norm,
     occurrence_matrix,
     reduce_word,
@@ -240,3 +247,145 @@ def test_compose_detailed_reports_cancellation(ex2):
     auto = artin_action(ex2)
     _, cancelled = compose_autos_detailed(auto, auto)
     assert cancelled
+
+
+def _images(auto) -> list:
+    return [img.letters for img in auto.images]
+
+
+class TestAgainstOracle:
+    """The array layer against the pure-Python loop in ``freegroup_oracle``."""
+
+    def test_growth_reports_match_on_random_braids(self):
+        rng = random.Random(601)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                   for _ in range(rng.randint(0, 6))))
+            auto = artin_action(w)
+            assert _images(auto) == oracle.artin_images(n, w.letters)
+            p_max = rng.randint(1, 6)
+            assert growth_rate_estimate(auto, p_max) == \
+                oracle.growth_report(_images(auto), p_max)
+
+    def test_example_2_flags(self, ex2):
+        auto = artin_action(ex2)
+        report = growth_rate_estimate(auto, 6)
+        assert report == oracle.growth_report(_images(auto), 6)
+        assert report.cancellation[1:] == (True,) * 5
+        assert not report.certified_no_cancellation
+
+    @pytest.mark.parametrize("word, n", [("1 -2", 3), ("1 -2 -3", 4)])
+    def test_budget_at_the_stopping_product(self, word, n):
+        auto = artin_action(parse_braid(word, n))
+        images = _images(auto)
+        longest = max(len(img) for img in images)
+        fourth = images
+        for _ in range(3):
+            fourth, _ = oracle.compose(fourth, images)
+        product = sum(len(img) for img in fourth) * longest
+        # The product is the budget test before the fifth power.
+        for budget, powers in ((product, 5), (product - 1, 4)):
+            report = growth_rate_estimate(auto, 5, budget=budget)
+            assert report == oracle.growth_report(images, 5, budget=budget)
+            assert len(report.powers) == powers
+            assert report.budget_exceeded == (powers < 5)
+
+    def test_substitute_random_endomorphisms(self):
+        # Images need not be braid images: short random words over few
+        # generators, some empty, cancel in cascades across many blocks.
+        rng = random.Random(602)
+        for _ in range(200):
+            rank = rng.randint(1, 3)
+            auto = FreeAutomorphism(rank, tuple(
+                random_reduced_word(rng, rank, max_length=5) for _ in range(rank)))
+            w = random_reduced_word(rng, rank, max_length=rng.choice((8, 300)))
+            got, cancelled = substitute(auto, w)
+            want, want_cancelled = oracle.substitute(_images(auto), w.letters)
+            assert (got.letters, cancelled) == (want, want_cancelled)
+
+    def test_long_cancellation_at_one_seam(self):
+        # 9,000 letters cancel at one seam, past the widest comparison
+        # window; long blocks are copied as slices, among few or many.
+        rng = random.Random(603)
+        long = reduce_word([rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(20000)], 3)
+        assert len(long) > 9000
+        tail = FreeWord(3, (2, 3))
+        auto = FreeAutomorphism(3, (long, concat(inverse_word(long), tail), long))
+        many = random_reduced_word(rng, 3, max_length=80).letters
+        for letters in ((1, 2), (1, 2, 3, -2, 1), (-2, -1, 3), many):
+            w = FreeWord(3, letters)
+            got, cancelled = substitute(auto, w)
+            assert (got.letters, cancelled) == oracle.substitute(_images(auto), letters)
+
+    def test_reduce_word_matches_stack(self):
+        rng = random.Random(604)
+        for _ in range(200):
+            half = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(0, 30))]
+            letters = half + [-v for v in reversed(half[:rng.randint(0, len(half))])]
+            if rng.random() < 0.3:
+                rng.shuffle(letters)
+            want, _ = oracle.substitute([(1,), (2,), (3,)], letters)
+            assert reduce_word(letters, 3).letters == want
+
+
+class TestWideRank:
+    """Letters above 127 need a wider dtype than int8."""
+
+    WORD = BraidWord(130, (1, -2, 128, 129, -129, 127, -128, 3, 129))
+
+    def test_letter_dtype(self):
+        assert letter_dtype(127) == np.int8
+        assert letter_dtype(128) == np.int16
+        assert FreeWord(130, (130, -129)).letters == (130, -129)
+
+    def test_artin_action_and_apply(self):
+        auto = artin_action(self.WORD)
+        assert _images(auto) == oracle.artin_images(130, self.WORD.letters)
+        rng = random.Random(605)
+        for _ in range(20):
+            w = random_reduced_word(rng, 130, max_length=20)
+            assert apply(auto, w).letters == \
+                oracle.substitute(_images(auto), w.letters)[0]
+
+    def test_growth(self):
+        auto = artin_action(self.WORD)
+        assert growth_rate_estimate(auto, 5) == oracle.growth_report(_images(auto), 5)
+
+
+class TestFreeWordValues:
+    def test_equality_hash_and_letters(self):
+        w = FreeWord(3, (1, -2, 3))
+        assert w == reduce_word([1, -2, 2, -2, 3], 3)
+        assert hash(w) == hash(FreeWord(3, [1, -2, 3]))
+        assert w != FreeWord(4, (1, -2, 3))
+        assert w.letters == (1, -2, 3)
+        assert all(type(v) is int for v in w.letters)
+        assert {w: 1}[FreeWord(3, (1, -2, 3))] == 1
+
+    def test_immutable(self):
+        w = FreeWord(3, (1, 2))
+        with pytest.raises(AttributeError):
+            w.rank = 4
+        with pytest.raises(ValueError):
+            w.array[0] = 2
+
+    def test_copy_and_pickle(self):
+        w = FreeWord(3, (1, -2, 3))
+        auto = artin_action(parse_braid("1 -2", 3))
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            u = clone(w)
+            assert u == w and hash(u) == hash(w)
+            assert not u.array.flags.writeable
+            with pytest.raises(AttributeError):
+                u.rank = 4
+            assert clone(auto) == auto
+
+    def test_validation(self):
+        for letters in ((0,), (1, 4), (-4,)):
+            with pytest.raises(ValueError, match="out of range"):
+                FreeWord(3, letters)
+        with pytest.raises(ValueError, match="not reduced"):
+            FreeWord(3, (1, 2, -2))
+        with pytest.raises(ValueError):
+            FreeWord(0, ())

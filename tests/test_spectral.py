@@ -413,6 +413,17 @@ class TestStrictGap:
         with pytest.raises(ValueError):
             strict_gap_check(burau_matrix(ex1), 0.5)
 
+    def test_no_gap_without_evidence(self, ex2, monkeypatch):
+        # Example 2's supremum is 2.174; with every eigenvalue step failing
+        # the sweep has no samples, and the gap must not be accepted.
+        def explode(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", explode)
+        report = strict_gap_check(burau_matrix(ex2), 1.5, grid=64)
+        assert [k for k, _ in report.skipped] == list(range(64))
+        assert not report.gap_holds
+
     @pytest.mark.parametrize("grid", [256, 255])
     @pytest.mark.parametrize("n, word, lam", GAP_CASES)
     def test_screen_matches_pointwise_oracle(self, n, word, lam, grid):
