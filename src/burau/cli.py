@@ -340,9 +340,12 @@ def _verify_checks(cfg: RunConfig, word: BraidWord, full: BurauMatrix) -> list:
         for i in range(n) for j in range(n))
     checks.append(("t=1 specialization is the permutation matrix", perm_ok))
 
+    # The full matrix first: past the dimension cap it is refused before the
+    # reduced matrix's charpoly has run.
+    full_charpoly = charpoly(full.matrix)
     reduced_charpoly = charpoly(reduce_full(full).matrix)
     x_minus_one = BivariatePoly.make([LaurentPoly.constant(-1), one])
-    pol1_ok = charpoly(full.matrix) == x_minus_one * reduced_charpoly
+    pol1_ok = full_charpoly == x_minus_one * reduced_charpoly
     checks.append(("charpoly factors through the reduced matrix", pol1_ok))
 
     symmetry_ok = True

@@ -7,13 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, exponent_sum
-from .laurent import (
-    BivariatePoly,
-    LaurentMatrix,
-    LaurentPoly,
-    MAX_CHARPOLY_DIM,
-    bivariate_det,
-)
+from .laurent import BivariatePoly, LaurentMatrix, LaurentPoly, charpoly
 
 FULL = "full"
 REDUCED = "reduced"
@@ -95,21 +89,9 @@ def reduce_full(full: BurauMatrix) -> BurauMatrix:
 
 
 def alexander_polynomial(w: BraidWord) -> BivariatePoly:
-    """det(B^r - x I) for the reduced Burau matrix of the braid word; the
-    closure-with-axis link invariant, outer variable x."""
-    if w.strands > MAX_CHARPOLY_DIM:
-        raise ValueError(
-            f"alexander polynomial limited to {MAX_CHARPOLY_DIM} strands, got {w.strands}")
+    """det(B^r - x I) = (-1)^d det(x I - B^r) for the d-dimensional reduced
+    Burau matrix of the braid word; the closure-with-axis link invariant,
+    outer variable x."""
     reduced = reduced_burau(w).matrix
-    minus_one = LaurentPoly.constant(-1)
-    entries = []
-    for i in range(reduced.dim):
-        row = []
-        for j in range(reduced.dim):
-            b = reduced.entry(i, j)
-            if i == j:
-                row.append(BivariatePoly.make([b, minus_one]))
-            else:
-                row.append(BivariatePoly.make([b]))
-        entries.append(row)
-    return bivariate_det(entries)
+    sign = BivariatePoly.make([LaurentPoly.constant((-1) ** reduced.dim)])
+    return sign * charpoly(reduced)

@@ -330,26 +330,6 @@ class BivariatePoly:
             return self.coeffs[k]
         return LaurentPoly.zero(self.coeffs[0].domain if self.coeffs else INT)
 
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = LaurentPoly.zero(self.coeffs[0].domain)
-        out = []
-        for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else zero
-            b = other.coeffs[k] if k < len(other.coeffs) else zero
-            out.append(a + b)
-        return BivariatePoly.make(out)
-
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
-
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         if self.is_zero or other.is_zero:
             return BivariatePoly()
@@ -407,70 +387,44 @@ def _bivariate_piece(c: LaurentPoly, k: int, var: str):
     return "+", body
 
 
-def bivariate_det(entries) -> BivariatePoly:
-    """Exact determinant of a square grid of BivariatePoly entries.
-
-    First-row cofactor expansion, memoized on the surviving-column bitmask;
-    no division, so it is valid over the Laurent coefficient ring.
-    """
-    n = len(entries)
-    if n == 0:
-        return BivariatePoly.make([LaurentPoly.one()])
-    one = BivariatePoly.make([LaurentPoly.one(_grid_domain(entries))])
-    memo: dict = {}
-
-    def det(cols: int) -> BivariatePoly:
-        if cols == 0:
-            return one
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        i = n - bin(cols).count("1")
-        acc = BivariatePoly()
-        sign = 1
-        rest = cols
-        while rest:
-            bit = rest & -rest
-            j = bit.bit_length() - 1
-            entry = entries[i][j]
-            if not entry.is_zero:
-                minor = det(cols ^ bit)
-                term = entry * minor
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-            rest ^= bit
-        memo[cols] = acc
-        return acc
-
-    return det((1 << n) - 1)
+# The charpoly of the full Burau matrix of L(n)^2 (the ladder 1 -2 3 ...
+# on n strands, squared) takes 0.30 s at n = 16, 0.85 s at 20, 2.3 s at 24
+# and 3.0 s at 25 (best of 2 on a shared 2-CPU machine); its cost grows like
+# d^4 ring products, each growing with the entries' length.
+MAX_CHARPOLY_DIM = 24
 
 
-def _grid_domain(entries) -> str:
-    for row in entries:
-        for entry in row:
-            if entry.coeffs:
-                return entry.coeffs[0].domain
-    return INT
-
-
-MAX_CHARPOLY_DIM = 12
+def _dot(row, vec, zero: LaurentPoly) -> LaurentPoly:
+    """Sum of row[k] * vec[k] over the shorter of the two; skips zeros."""
+    acc = zero
+    for a, b in zip(row, vec):
+        if not a.is_zero and not b.is_zero:
+            acc = acc + a * b
+    return acc
 
 
 def charpoly(m: LaurentMatrix) -> BivariatePoly:
-    """Exact characteristic polynomial det(X*I - m) over the Laurent ring."""
+    """Exact characteristic polynomial det(X*I - m) over the Laurent ring.
+
+    Berkowitz's division-free algorithm (IPL 18, 1984), O(d^4) ring
+    operations.  Bordering the leading r x r block A by the column c, the
+    row R and the diagonal entry a multiplies the coefficients of
+    det(X*I - A), in descending powers of X, by the lower-triangular
+    Toeplitz matrix with first column (1, -a, -R c, -R A c, ..., -R A^(r-1) c).
+    """
     n = m.dim
     if n > MAX_CHARPOLY_DIM:
         raise ValueError(
             f"characteristic polynomial limited to dimension {MAX_CHARPOLY_DIM}, got {n}")
-    one = LaurentPoly.one(m.domain)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            b = m.entry(i, j)
-            if i == j:
-                row.append(BivariatePoly.make([-b, one]))
-            else:
-                row.append(BivariatePoly.make([-b]))
-        entries.append(row)
-    return bivariate_det(entries)
+    rows = m.rows
+    one, zero = LaurentPoly.one(m.domain), LaurentPoly.zero(m.domain)
+    p = [one]
+    for r in range(n):
+        toeplitz = [one, -rows[r][r]]
+        col = [row[r] for row in rows[:r]]
+        for k in range(r):
+            if k:
+                col = [_dot(row, col, zero) for row in rows[:r]]
+            toeplitz.append(-_dot(rows[r], col, zero))
+        p = [_dot(p, toeplitz[i::-1], zero) for i in range(r + 2)]
+    return BivariatePoly.make(reversed(p))

@@ -660,9 +660,11 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     are decided by the per-point ``unit_circle_root_certificate`` instead,
     whose root finder resolves the multiple roots that float eigenvalues
     smear; every other point has no unit root.  A point where the
-    eigenvalue iteration or the root finder fails is skipped.  Also reports the sweep maximum of the full radius, max(1,
-    reduced radius), against lam; the float maximum stands as it is, since a
-    radius read low could accept a gap that does not hold.
+    eigenvalue iteration or the root finder fails is skipped.
+
+    Also reports the sweep maximum of the full radius, max(1, reduced
+    radius), against lam; the float maximum stands as it is, since a radius
+    read low could accept a gap that does not hold.
     ``min_resultant_abs`` is None when no grid point was screened.  A gap
     holds only on complete evidence: no grid point skipped, by the screen or
     by the sweep, no unit root, and the sweep maximum below lam.

@@ -52,3 +52,18 @@ def bisect_largest_root(f, lo: float, hi: float, iterations: int = 200) -> float
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def ladder(n: int) -> str:
+    """L(n) = 1 -2 3 -4 ... +-(n-1)."""
+    return " ".join(str(k if k % 2 else -k) for k in range(1, n))
+
+
+def alternating(n: int) -> str:
+    """A(n): the ladder followed by its generator-wise negation."""
+    first = [k if k % 2 else -k for k in range(1, n)]
+    return " ".join(str(v) for v in first + [-v for v in first])
+
+
+def power(word: str, k: int) -> str:
+    return " ".join([word] * k)

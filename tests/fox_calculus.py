@@ -17,13 +17,9 @@ from dataclasses import dataclass
 from burau.braid import BraidWord, compose
 from burau.foxburau import FULL, BurauMatrix, burau_matrix
 from burau.freegroup import FreeAutomorphism, FreeWord, concat
-from burau.laurent import (
-    INT,
-    BivariatePoly,
-    LaurentMatrix,
-    LaurentPoly,
-    bivariate_det,
-)
+from burau.laurent import INT, LaurentMatrix, LaurentPoly
+
+from cofactor_det import laurent_det
 
 
 @dataclass(frozen=True)
@@ -173,10 +169,7 @@ def fox_burau_matrix(auto: FreeAutomorphism) -> BurauMatrix:
 
 def exponent_from_determinant(m: LaurentMatrix) -> int:
     """Recover the braid exponent sum e from det = (-t)^e."""
-    entries = [[BivariatePoly.make([m.entry(i, j)]) for j in range(m.dim)]
-               for i in range(m.dim)]
-    det = bivariate_det(entries)
-    poly = det.coefficient(0) if not det.is_zero else LaurentPoly.zero()
+    poly = laurent_det(m)
     if len(poly.terms) != 1:
         raise ValueError("Burau determinant is not a power of -t")
     exp, coeff = poly.terms[0]

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from burau.cli import EXIT_CHECK_FAILED, main
+from burau.cli import EXIT_CHECK_FAILED, EXIT_USAGE, main
+from burau.laurent import MAX_CHARPOLY_DIM, LaurentPoly
+
+from conftest import ladder, power
 
 
 def run(capsys, *argv):
@@ -57,6 +60,35 @@ class TestAlexander:
         code, out, _ = run(capsys, "alexander", "-n", "2", "")
         assert code == 0
         assert out.strip() == "1 - x"
+
+
+class TestWideBraids:
+    """Charpolys past the reach of a 2^d cofactor expansion."""
+
+    @pytest.mark.parametrize("argv", [
+        ("charpoly", "-n", "14", power(ladder(14), 2)),
+        ("charpoly", "-n", "14", power(ladder(14), 2), "--reduced"),
+        ("alexander", "-n", "14", power(ladder(14), 2)),
+        ("charpoly", "-n", "20", power(ladder(20), 2)),
+        ("alexander", "-n", "20", ladder(20)),
+    ], ids=lambda argv: " ".join(argv[:3] + argv[4:]))
+    def test_exact_polynomial(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        results = payload["results"]
+        poly = results.get("charpoly") or results["alexander"]
+        n = int(argv[2])
+        degree = n - 1 if argv[0] == "alexander" or "--reduced" in argv else n
+        assert len(poly["coefficients"]) == degree + 1
+        lead = (-1) ** degree if argv[0] == "alexander" else 1
+        assert poly["coefficients"][-1] == {"0": str(lead)}
+
+    def test_verify_on_fourteen_strands(self, capsys):
+        code, out, _ = run(capsys, "verify", "-n", "14", ladder(14), "--format", "json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["results"]["all_ok"] is True
 
 
 class TestEntropyBound:
@@ -179,6 +211,29 @@ class TestExitCodes:
         code, _, _ = run(capsys, "sweep", "-n", "2", "1", "--grid", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("charpoly", "-n", str(MAX_CHARPOLY_DIM + 1), ""),
+        ("charpoly", "-n", str(MAX_CHARPOLY_DIM + 2), ""),
+        ("charpoly", "-n", str(MAX_CHARPOLY_DIM + 2), "", "--reduced"),
+        ("alexander", "-n", str(MAX_CHARPOLY_DIM + 2), ""),
+    ])
+    def test_charpoly_past_cap_is_two(self, capsys, monkeypatch, argv):
+        def refuse(self, other):
+            raise AssertionError("ring product past the dimension cap")
+
+        # The identity's Burau matrix needs no product, so any product
+        # would be the charpoly's own work.
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert f"limited to dimension {MAX_CHARPOLY_DIM}" in err
+
+    def test_verify_past_cap_is_two(self, capsys):
+        code, _, err = run(capsys, "verify", "-n", str(MAX_CHARPOLY_DIM + 1), "")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+
     def test_non_convergence_is_three(self, capsys, monkeypatch):
         import burau.cli as cli
         from burau.spectral import RootFindingError
@@ -206,6 +261,21 @@ GROWTH_GOLDEN = json.loads(
 
 @pytest.mark.parametrize("case", GROWTH_GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_growth_output_is_byte_identical(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]
+
+
+# Stdout of charpoly, charpoly --reduced and alexander as the cofactor
+# expansion printed them (the oracle in tests/cofactor_det.py), on
+# (1 -2)^7 in B3, L(8)^3 and A(12)^2, each in JSON and text.
+EXACT_GOLDEN = json.loads(
+    (Path(__file__).with_name("exact_cli_golden.json")).read_text())
+
+
+@pytest.mark.parametrize("case", EXACT_GOLDEN,
+                         ids=lambda case: " ".join(case["argv"][:3] + case["argv"][4:]))
+def test_exact_output_is_byte_identical(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -17,6 +17,7 @@ from burau.freegroup import (
     occurrence_matrix,
 )
 from burau.laurent import BivariatePoly, LaurentPoly, charpoly
+from cofactor_det import bivariate_det
 from conftest import random_braid, random_reduced_word
 from fox_calculus import (
     GroupRingElement,
@@ -318,11 +319,17 @@ class TestAlexander:
         for _ in range(20):
             w = random_braid(rng, max_strands=5, max_length=6)
             poly = alexander_polynomial(w)
-            reduced = charpoly(reduced_burau(w).matrix)
+            m = reduced_burau(w).matrix
+            reduced = charpoly(m)
             if (w.strands - 1) % 2 == 0:
                 assert poly == reduced
             else:
-                assert poly == -reduced
+                assert poly == BivariatePoly.make([-c for c in reduced.coeffs])
+            minus_one = LaurentPoly.constant(-1)
+            entries = [[BivariatePoly.make([m.entry(i, j), minus_one] if i == j
+                                           else [m.entry(i, j)])
+                        for j in range(m.dim)] for i in range(m.dim)]
+            assert poly == bivariate_det(entries)
 
 
 class TestOccurrenceBound:

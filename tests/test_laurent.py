@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -5,15 +6,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burau.braid import BraidWord, exponent_sum, parse_braid, permutation
+from burau.foxburau import burau_matrix, reduce_full
 from burau.laurent import (
     COMPLEX,
     INT,
+    MAX_CHARPOLY_DIM,
     BivariatePoly,
     LaurentMatrix,
     LaurentPoly,
-    bivariate_det,
     charpoly,
 )
+
+from cofactor_det import bivariate_det, cofactor_charpoly
+from conftest import alternating, ladder, power, random_braid
 
 
 def P(coeffs, domain=INT):
@@ -171,8 +177,6 @@ class TestCharpoly:
         assert charpoly(m) == expected
 
     def test_example_1_factored_form(self, ex1):
-        from burau.foxburau import burau_matrix
-
         one = LaurentPoly.one()
         c = P({0: 1, 1: -1, -1: -1})  # 1 - t - t^-1
         quadratic = BivariatePoly.make([one, -c, one])
@@ -180,8 +184,6 @@ class TestCharpoly:
         assert charpoly(burau_matrix(ex1).matrix) == x_minus_1 * quadratic
 
     def test_example_2_factored_form(self, ex2):
-        from burau.foxburau import burau_matrix
-
         one = LaurentPoly.one()
         c = P({0: 1, 1: -1, -1: -1})
         d = P({-2: 1, -1: -1, 0: 1})
@@ -191,7 +193,7 @@ class TestCharpoly:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            charpoly(LaurentMatrix.identity(13))
+            charpoly(LaurentMatrix.identity(MAX_CHARPOLY_DIM + 1))
 
     def test_determinant_of_triangular(self):
         one = LaurentPoly.one()
@@ -220,3 +222,91 @@ def test_bivariate_det_of_constant_matrix():
     t = LaurentPoly.t_power(1)
     entries = [[BivariatePoly.make([t])]]
     assert bivariate_det(entries) == BivariatePoly.make([t])
+
+
+# The braids the benchmark's exact workload takes charpolys of.
+WORKLOAD_BRAIDS = [(3, power("1 -2", 7)), (12, power(ladder(12), 2)),
+                   (12, power(alternating(12), 2)), (11, power(ladder(11), 2)),
+                   (8, power(ladder(8), 3)), (10, power(ladder(10), 3))]
+WORKLOAD_IDS = ["(1 -2)^7", "L(12)^2", "A(12)^2", "L(11)^2", "L(8)^3", "L(10)^3"]
+
+# Past the reach of the 2^d cofactor expansion.
+WIDE_BRAIDS = [(14, power(ladder(14), 2)), (14, alternating(14)),
+               (20, power(ladder(20), 2))]
+WIDE_IDS = ["L(14)^2", "A(14)", "L(20)^2"]
+
+
+def _both_matrices(word: BraidWord):
+    full = burau_matrix(word)
+    return full.matrix, reduce_full(full).matrix
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_charpolys(n: int, text: str):
+    full, reduced = _both_matrices(parse_braid(text, n))
+    return charpoly(full), charpoly(reduced)
+
+
+def _int_poly_product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestCharpolyOracle:
+    """Berkowitz's charpoly against the cofactor expansion in
+    ``tests/cofactor_det.py``, and exact invariants beyond its reach."""
+
+    def test_random_braids(self):
+        rng = random.Random(20240607)
+        for _ in range(120):
+            word = random_braid(rng, max_strands=9, max_length=14)
+            for m in _both_matrices(word):
+                assert charpoly(m) == cofactor_charpoly(m), word
+
+    @pytest.mark.parametrize("n, text", WORKLOAD_BRAIDS, ids=WORKLOAD_IDS)
+    def test_workload_braids(self, n, text):
+        for m in _both_matrices(parse_braid(text, n)):
+            assert charpoly(m) == cofactor_charpoly(m)
+
+    def test_complex_matrix(self):
+        z = LaurentPoly.from_dict({0: 1 + 2j, -1: -0.5j}, COMPLEX)
+        w = LaurentPoly.from_dict({1: 3 + 0j}, COMPLEX)
+        zero = LaurentPoly.zero(COMPLEX)
+        m = LaurentMatrix(((z, w, zero), (w, zero, z), (zero, z, w)))
+        # One multiplication order against another: equal up to rounding.
+        got, want = charpoly(m), cofactor_charpoly(m)
+        for k in range(4):
+            diff = got.coefficient(k) - want.coefficient(k)
+            assert all(abs(c) < 1e-12 for _, c in diff.terms)
+
+    @pytest.mark.parametrize("n, text", WIDE_BRAIDS, ids=WIDE_IDS)
+    def test_full_factors_through_reduced(self, n, text):
+        full, reduced = _wide_charpolys(n, text)
+        one = LaurentPoly.one()
+        assert full == BivariatePoly.make([LaurentPoly.constant(-1), one]) * reduced
+        assert full.degree == n
+
+    @pytest.mark.parametrize("n, text", WIDE_BRAIDS, ids=WIDE_IDS)
+    def test_value_at_one_is_permutation_charpoly(self, n, text):
+        full, _ = _wide_charpolys(n, text)
+        mu = permutation(parse_braid(text, n))
+        expected, seen = [1], set()
+        for start in range(1, n + 1):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = mu[i - 1]
+                length += 1
+            if length:
+                expected = _int_poly_product(expected, [-1] + [0] * (length - 1) + [1])
+        assert [c.coefficient_sum() for c in full.coeffs] == expected
+
+    @pytest.mark.parametrize("n, text", WIDE_BRAIDS, ids=WIDE_IDS)
+    def test_constant_term_is_signed_determinant(self, n, text):
+        e = exponent_sum(parse_braid(text, n))
+        for d, poly in zip((n, n - 1), _wide_charpolys(n, text)):
+            # det(-B) = (-1)^d det(B) and det(B) = (-t)^e.
+            assert poly.coefficient(0) == LaurentPoly.t_power(e, (-1) ** (d + e))
