@@ -40,12 +40,9 @@ from .freegroup import (
 from .laurent import BivariatePoly, LaurentMatrix, LaurentPoly, charpoly
 from .spectral import (
     ComplexPolynomial,
-    DEFAULT_TOLERANCES,
     EntropyReport,
     GapReport,
-    RootFindingError,
     SweepResult,
-    Tolerances,
     UnitRootCertificate,
     burau_radius_sweep,
     char_poly_complex,

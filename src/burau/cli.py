@@ -10,7 +10,9 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .braid import (
     BraidParseError,
@@ -31,9 +33,6 @@ from .foxburau import (
 from .freegroup import artin_action, growth_rate_estimate, occurrence_matrix
 from .laurent import _fmt_complex, charpoly
 from .spectral import (
-    DEFAULT_TOLERANCES,
-    RootFindingError,
-    Tolerances,
     burau_radius_sweep,
     entropy_lower_bound,
     roots,
@@ -61,7 +60,6 @@ class RunConfig:
     fmt: str = "text"
     iters: int = 8
     budget: int = 10_000_000
-    tolerances: Tolerances = DEFAULT_TOLERANCES
     reduced: bool = False
     gap_lambda: float | None = None
 
@@ -86,14 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="number of powers for growth estimation")
     common.add_argument("--budget", type=int, default=10_000_000,
                         help="letter budget for automorphism iteration")
-    common.add_argument("--tol-root", type=float, default=None,
-                        help="root-update convergence tolerance")
-    common.add_argument("--tol-compare", type=float, default=None,
-                        help="numeric comparison tolerance")
-    common.add_argument("--tol-certificate", type=float, default=None,
-                        help="resultant certificate tolerance")
-    common.add_argument("--tol-refine", type=float, default=None,
-                        help="refinement interval tolerance")
 
     parser = argparse.ArgumentParser(
         prog="burau",
@@ -124,15 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = DEFAULT_TOLERANCES
-    if args.tol_root is not None:
-        tol = replace(tol, root_update=args.tol_root)
-    if args.tol_compare is not None:
-        tol = replace(tol, comparison=args.tol_compare)
-    if args.tol_certificate is not None:
-        tol = replace(tol, certificate=args.tol_certificate)
-    if args.tol_refine is not None:
-        tol = replace(tol, refine_interval=args.tol_refine)
     return RunConfig(
         strands=args.strands,
         word_text=args.word,
@@ -141,7 +122,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         iters=args.iters,
         budget=args.budget,
-        tolerances=tol,
         reduced=getattr(args, "reduced", False),
         gap_lambda=getattr(args, "gap_lambda", None),
     )
@@ -154,12 +134,6 @@ def _config_json(cfg: RunConfig) -> dict:
         "format": cfg.fmt,
         "iters": cfg.iters,
         "budget": cfg.budget,
-        "tolerances": {
-            "root_update": cfg.tolerances.root_update,
-            "comparison": cfg.tolerances.comparison,
-            "certificate": cfg.tolerances.certificate,
-            "refine_interval": cfg.tolerances.refine_interval,
-        },
     }
 
 
@@ -226,7 +200,7 @@ def cmd_alexander(cfg: RunConfig, word: BraidWord) -> int:
 
 
 def cmd_entropy_bound(cfg: RunConfig, word: BraidWord) -> int:
-    report = entropy_lower_bound(word, cfg.grid, cfg.refine, cfg.tolerances)
+    report = entropy_lower_bound(word, cfg.grid, cfg.refine)
     if cfg.fmt == "json":
         results = {
             "bound": report.bound,
@@ -250,8 +224,7 @@ def cmd_entropy_bound(cfg: RunConfig, word: BraidWord) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, word: BraidWord) -> int:
-    sweep = burau_radius_sweep(reduced_burau(word).matrix, cfg.grid, cfg.refine,
-                               cfg.tolerances)
+    sweep = burau_radius_sweep(reduced_burau(word).matrix, cfg.grid, cfg.refine)
     if cfg.fmt == "json":
         results = {
             "grid": sweep.grid,
@@ -352,8 +325,7 @@ def _verify_checks(cfg: RunConfig, word: BraidWord, full: BurauMatrix) -> list:
     for _ in range(3):
         theta = rng.uniform(0, 2 * math.pi)
         t = complex(math.cos(theta), math.sin(theta))
-        eigs = roots(specialize_bivariate(reduced_charpoly, t),
-                     cfg.tolerances) if n > 1 else []
+        eigs = roots(specialize_bivariate(reduced_charpoly, t)) if n > 1 else []
         for lam in eigs:
             target = 1 / lam.conjugate()
             if min(abs(target - mu) for mu in eigs) > 1e-7:
@@ -379,8 +351,7 @@ def cmd_verify(cfg: RunConfig, word: BraidWord) -> int:
     checks = _verify_checks(cfg, word, full)
     gap = None
     if cfg.gap_lambda is not None:
-        gap = strict_gap_check(full, cfg.gap_lambda, cfg.grid, cfg.refine,
-                               cfg.tolerances)
+        gap = strict_gap_check(full, cfg.gap_lambda, cfg.grid, cfg.refine)
         checks.append((f"strict gap vs lambda={_fmt(cfg.gap_lambda)}",
                        gap.gap_holds))
     all_ok = all(ok for _, ok in checks)
@@ -439,7 +410,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](cfg, word)
-    except RootFindingError as exc:
+    except np.linalg.LinAlgError as exc:
+        # Caught first: LinAlgError is a ValueError.
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Complex specializations of Laurent matrices, characteristic polynomials,
-simultaneous root finding, unit-circle spectral-radius sweeps, and the
-resultant certificate for unit-circle roots.
+polynomial roots as companion-matrix eigenvalues, unit-circle
+spectral-radius sweeps, and the resultant certificate for unit-circle roots.
 """
 
 from __future__ import annotations
@@ -14,47 +14,27 @@ import numpy as np
 
 from .braid import BraidWord
 from .foxburau import BurauMatrix, burau_matrix, reduce_full
-from .laurent import (
-    INT,
-    BivariatePoly,
-    LaurentMatrix,
-    _fmt_complex,
-    charpoly,
-    join_signed,
-)
+from .laurent import INT, BivariatePoly, LaurentMatrix, charpoly
 
 MAX_COMPLEX_DIM = 64
 LEADING_EPS = 1e-12
 
-_MACHINE_EPS = 2.220446049250313e-16
+# A root modulus within COMPARISON_TOL of 1 is a unit root; a resultant
+# below CERTIFICATE_TOL fires the unit-root screen; a fired screen makes the
+# certificate inconclusive while the closest root modulus is within
+# REFUTE_MARGIN of 1; golden-section refinement stops at intervals of
+# REFINE_INTERVAL radians.
+COMPARISON_TOL = 1e-9
+CERTIFICATE_TOL = 1e-8
+REFUTE_MARGIN = 1e-6
+REFINE_INTERVAL = 1e-10
+
 _CLUSTER_RADIUS = 6e-2
 _CLUSTER_GATE = 1e-10
 
 # Grid points per block of the batched strict-gap screen, so that its
 # Sylvester and eigenvalue stacks stay small whatever the grid.
 _SCREEN_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """All numerical tolerances in one place, overridable from the CLI."""
-
-    root_update: float = 1e-13
-    comparison: float = 1e-9
-    certificate: float = 1e-8
-    refine_interval: float = 1e-10
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to converge; carries the best iterates."""
-
-    def __init__(self, message: str, iterates, residuals):
-        super().__init__(message)
-        self.iterates = tuple(iterates)
-        self.residuals = tuple(residuals)
 
 
 @dataclass(frozen=True)
@@ -85,33 +65,6 @@ class ComplexPolynomial:
 
     def evaluate(self, z: complex) -> complex:
         return _horner(self.coeffs, z)
-
-    def render(self, var: str = "X") -> str:
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0 and len(self.coeffs) > 1:
-                continue
-            pieces.append(_complex_piece(c, k, var))
-        if not pieces:
-            return "0"
-        return join_signed(pieces)
-
-
-def _complex_piece(c: complex, k: int, var: str):
-    xpart = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-    if c.imag == 0:
-        sign = "-" if c.real < 0 else "+"
-        mag = abs(c.real)
-        if xpart and mag == 1:
-            return sign, xpart
-        body = f"{mag:.12g}"
-        if xpart:
-            body += f"*{xpart}"
-        return sign, body
-    body = f"({_fmt_complex(c)})"
-    if xpart:
-        body += f"*{xpart}"
-    return "+", body
 
 
 def specialize(m: LaurentMatrix, t: complex) -> np.ndarray:
@@ -194,16 +147,12 @@ def char_poly_complex(m: np.ndarray) -> ComplexPolynomial:
     return ComplexPolynomial.make(np.poly(m)[::-1])
 
 
-def roots(p: ComplexPolynomial,
-          tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """All complex roots with multiplicity, by Aberth-Ehrlich iteration.
-
-    Deterministic initial guesses on a circle whose radius comes from the
-    Cauchy coefficient bound.  A root is accepted when its update falls under
-    the update tolerance or its residual reaches the backward-error floor
-    (multiple roots stall above the update tolerance but are numerically
-    exact roots).  Clusters that agree with a multiple root are replaced by
-    their centroid, which restores full accuracy at degenerate points.
+def roots(p: ComplexPolynomial) -> list:
+    """All complex roots with multiplicity: the eigenvalues of the companion
+    matrix (``np.roots``), zero roots split off exactly.  Clusters that
+    agree with a multiple root are replaced by their centroid, which
+    restores full accuracy at degenerate points.  Raises
+    ``np.linalg.LinAlgError`` when the eigenvalue iteration fails.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -212,68 +161,13 @@ def roots(p: ComplexPolynomial,
     while len(coeffs) > 1 and coeffs[0] == 0:
         coeffs.pop(0)
         zero_roots += 1
-    deg = len(coeffs) - 1
-    if deg == 0:
+    if len(coeffs) == 1:
         return [0j] * zero_roots
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    offset = math.pi / (2 * deg) + 0.3
-    zs = [radius * cmath.exp(1j * (2 * math.pi * k / deg + offset))
-          for k in range(deg)]
-    converged = [False] * deg
-    backward_floor = 16 * (deg + 1) * _MACHINE_EPS
-
-    for _ in range(500):
-        for k in range(deg):
-            if converged[k]:
-                continue
-            pv, dv = _horner_pair(monic, zs[k])
-            if abs(pv) <= backward_floor * _coeff_scale(monic, abs(zs[k])):
-                converged[k] = True
-                continue
-            if dv == 0:
-                zs[k] += (1e-6 + 1e-6j) * (1 + abs(zs[k]))
-                continue
-            newton = pv / dv
-            s = 0j
-            for j in range(deg):
-                if j == k:
-                    continue
-                diff = zs[k] - zs[j]
-                if diff == 0:
-                    diff = (1e-12 + 1e-12j) * (1 + abs(zs[k]))
-                s += 1 / diff
-            denom = 1 - newton * s
-            step = newton if denom == 0 else newton / denom
-            zs[k] -= step
-            if abs(step) < tolerances.root_update * (1 + abs(zs[k])):
-                converged[k] = True
-        if all(converged):
-            break
-    else:
-        residuals = [abs(_horner_pair(monic, z)[0]) for z in zs]
-        bad = [k for k in range(deg)
-               if residuals[k] > backward_floor * _coeff_scale(monic, abs(zs[k]))]
-        if bad:
-            raise RootFindingError(
-                f"Aberth iteration did not converge for {len(bad)} of {deg} roots",
-                zs, residuals)
-
-    zs = _merge_root_clusters(zs, monic)
+    monic = [c / coeffs[-1] for c in coeffs]
+    zs = _merge_root_clusters(np.roots(monic[::-1]).tolist(), monic)
     found = [0j] * zero_roots + zs
     found.sort(key=lambda z: (z.real, z.imag))
     return found
-
-
-def _horner_pair(monic, z: complex):
-    pv = 0j
-    dv = 0j
-    for c in reversed(monic):
-        dv = dv * z + pv
-        pv = pv * z + c
-    return pv, dv
 
 
 def _coeff_scale(monic, az: float) -> float:
@@ -286,7 +180,7 @@ def _coeff_scale(monic, az: float) -> float:
 
 
 def _merge_root_clusters(zs, monic):
-    """Replace groups of nearby iterates by their centroid when the centroid
+    """Replace groups of nearby roots by their centroid when the centroid
     is itself a numerical root (true multiple root); leave genuinely distinct
     close roots untouched."""
     n = len(zs)
@@ -311,38 +205,11 @@ def _merge_root_clusters(zs, monic):
         if len(members) < 2:
             continue
         centroid = sum(zs[i] for i in members) / len(members)
-        residual = abs(_horner_pair(monic, centroid)[0])
+        residual = abs(_horner(monic, centroid))
         if residual <= _CLUSTER_GATE * _coeff_scale(monic, abs(centroid)):
-            polished = _polish_multiple_root(monic, centroid, len(members))
             for i in members:
-                out[i] = polished
+                out[i] = centroid
     return out
-
-
-def _polish_multiple_root(monic, z: complex, multiplicity: int) -> complex:
-    """Newton refinement of a multiplicity-m root on the (m-1)-th derivative,
-    where the root is simple; early-stopped cluster centroids are biased by
-    the residual stopping region, this removes the bias."""
-    d = list(monic)
-    for _ in range(multiplicity - 1):
-        d = [k * c for k, c in enumerate(d)][1:]
-    dd = [k * c for k, c in enumerate(d)][1:]
-    candidate = z
-    for _ in range(50):
-        pv = _horner(d, candidate)
-        dv = _horner(dd, candidate)
-        if dv == 0:
-            break
-        step = pv / dv
-        candidate -= step
-        if abs(step) <= 1e-15 * (1 + abs(candidate)):
-            break
-    drifted = abs(candidate - z) > _CLUSTER_RADIUS * (1 + abs(z))
-    bad = abs(_horner_pair(monic, candidate)[0]) > \
-        _CLUSTER_GATE * _coeff_scale(monic, abs(candidate))
-    if drifted or bad:
-        return z
-    return candidate
 
 
 def _horner(coeffs, z: complex) -> complex:
@@ -353,14 +220,13 @@ def _horner(coeffs, z: complex) -> complex:
     return acc
 
 
-def spectral_radius(m: np.ndarray,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Largest root modulus of the characteristic polynomial."""
     m = np.asarray(m, dtype=complex)
     if m.shape[0] == 0:
         return 0.0
     poly = char_poly_complex(m)
-    return max(abs(r) for r in roots(poly, tolerances))
+    return max(abs(r) for r in roots(poly))
 
 
 @dataclass(frozen=True)
@@ -376,8 +242,8 @@ class SweepResult:
     skipped: tuple
 
 
-def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> SweepResult:
+def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
+                      refine: bool = True) -> SweepResult:
     """Maximum spectral radius of m(t) over the unit circle.
 
     Specializes m on the whole grid t = exp(2 pi i k / grid) at once and
@@ -425,7 +291,7 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024, refine: bool = True,
                  & (v >= best_value - margin))
         step = 2 * math.pi / grid
         searches = [_golden_section_max(center - step, center + step,
-                                        tolerances.refine_interval)
+                                        REFINE_INTERVAL)
                     for center in thetas[:count][peaks[:count]].tolist()]
         for theta, value, its in _lockstep(radii_at, searches):
             iterations += its
@@ -507,15 +373,15 @@ class EntropyReport:
     spot_values: tuple
 
 
-def entropy_lower_bound(w: BraidWord, grid: int = 1024, refine: bool = True,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> EntropyReport:
+def entropy_lower_bound(w: BraidWord, grid: int = 1024,
+                        refine: bool = True) -> EntropyReport:
     """Lower bound for the topological entropy of any homeomorphism inducing
     the braid: ln of the unit-circle supremum of the Burau spectral radius."""
     full = burau_matrix(w)
-    sweep = burau_radius_sweep(reduce_full(full).matrix, grid, refine, tolerances)
+    sweep = burau_radius_sweep(reduce_full(full).matrix, grid, refine)
     spots = []
     for label, t in _SPOT_POINTS:
-        value = spectral_radius(specialize(full.matrix, t), tolerances)
+        value = spectral_radius(specialize(full.matrix, t))
         spots.append((label, value))
     bound = math.log(sweep.radius_star)
     return EntropyReport(strands=w.strands, sweep=sweep, bound=bound,
@@ -523,8 +389,7 @@ def entropy_lower_bound(w: BraidWord, grid: int = 1024, refine: bool = True,
 
 
 def burau_radius_sweep(reduced: LaurentMatrix, grid: int = 1024,
-                       refine: bool = True,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> SweepResult:
+                       refine: bool = True) -> SweepResult:
     """Unit-circle sweep of a braid's Burau spectral radius, run on its
     reduced matrix: det(X I - B) = (X - 1) det(X I - B_reduced), so the full
     radius is max(1, reduced radius) at every t.  The samples stay reduced
@@ -537,7 +402,7 @@ def burau_radius_sweep(reduced: LaurentMatrix, grid: int = 1024,
     eigenvalue.  It can lower the float maximum only by rounding, so it suits
     a lower bound, not a gap check.
     """
-    sweep = sweep_unit_circle(reduced, grid, refine, tolerances)
+    sweep = sweep_unit_circle(reduced, grid, refine)
     moduli = np.abs(np.linalg.eigvals(specialize(reduced, sweep.t_star)))
     if moduli.max() == moduli.min():
         return replace(sweep, radius_star=1.0)
@@ -574,7 +439,7 @@ class UnitRootCertificate:
     """Outcome of the unit-circle root test for one polynomial.
 
     ``fired`` is the necessary condition: the resultant of p with its
-    reciprocal conjugate vanishes within tolerance.  ``min_unit_distance`` is
+    reciprocal conjugate is below ``CERTIFICATE_TOL``.  ``min_unit_distance`` is
     the direct check min | |root| - 1 |.
     """
 
@@ -584,9 +449,7 @@ class UnitRootCertificate:
     verdict: str
 
 
-def unit_circle_root_certificate(p: ComplexPolynomial, tol: float | None = None,
-                                 tolerances: Tolerances = DEFAULT_TOLERANCES
-                                 ) -> UnitRootCertificate:
+def unit_circle_root_certificate(p: ComplexPolynomial) -> UnitRootCertificate:
     """Necessary-condition screen plus direct root-modulus check.
 
     Verdicts: "has unit root" when the direct check finds one, "no unit root"
@@ -599,30 +462,22 @@ def unit_circle_root_certificate(p: ComplexPolynomial, tol: float | None = None,
     """
     if p.degree < 1:
         raise ValueError("certificate needs degree >= 1")
-    if tol is None:
-        tol = tolerances.certificate
     q = reciprocal_conjugate(p)
     if q.degree >= 1:
         res_abs = abs(resultant(p, q))
-        fired = res_abs < tol
+        fired = res_abs < CERTIFICATE_TOL
     else:
         res_abs = None
         fired = False
-    min_distance = min(abs(abs(r) - 1) for r in roots(p, tolerances))
-    if min_distance <= tolerances.comparison:
+    min_distance = min(abs(abs(r) - 1) for r in roots(p))
+    if min_distance <= COMPARISON_TOL:
         verdict = "has unit root"
-    elif fired and min_distance <= _refute_margin(tolerances):
+    elif fired and min_distance <= REFUTE_MARGIN:
         verdict = "inconclusive"
     else:
         verdict = "no unit root"
     return UnitRootCertificate(resultant_abs=res_abs, fired=fired,
                                min_unit_distance=min_distance, verdict=verdict)
-
-
-def _refute_margin(tolerances: Tolerances) -> float:
-    """Root-modulus distance from the unit circle beyond which a fired
-    screen no longer makes the certificate inconclusive."""
-    return max(1e-6, 10 * tolerances.comparison)
 
 
 @dataclass(frozen=True)
@@ -643,8 +498,7 @@ class GapReport:
 
 
 def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
-                     refine: bool = True,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> GapReport:
+                     refine: bool = True) -> GapReport:
     """Check lam > sup of the Burau spectral radius over the unit circle,
     for a braid given by its full Burau matrix.
 
@@ -656,11 +510,11 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     from a stack of Sylvester determinants, and the root-modulus distance
     min | |mu|/lam - 1 | from the eigenvalues mu of the reduced matrix.
     Gray-band points (the resultant fires, the distance is within the
-    certificate's refutation margin, 1e-6 by default, or p* drops degree)
-    are decided by the per-point ``unit_circle_root_certificate`` instead,
-    whose root finder resolves the multiple roots that float eigenvalues
-    smear; every other point has no unit root.  A point where the
-    eigenvalue iteration or the root finder fails is skipped.
+    certificate's ``REFUTE_MARGIN``, or p* drops degree) are decided by the
+    per-point ``unit_circle_root_certificate`` instead, whose roots merge
+    the clusters that float eigenvalues make of a multiple root; every
+    other point has no unit root.  A point where an eigenvalue iteration
+    fails is skipped.
 
     Also reports the sweep maximum of the full radius, max(1, reduced
     radius), against lam; the float maximum stands as it is, since a radius
@@ -673,7 +527,7 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix
     bi = charpoly(reduced)
-    sweep = sweep_unit_circle(reduced, grid, refine, tolerances)
+    sweep = sweep_unit_circle(reduced, grid, refine)
     sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
     count = grid // 2 + 1 if reduced.domain == INT else grid
@@ -681,8 +535,7 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     res, distance = (_mirror(values, grid) for values in _unit_root_screen(
         reduced, bi, lam, np.exp(1j * thetas[:count])))
     failed = np.isnan(res) | np.isnan(distance)
-    gray = ~failed & ((res < tolerances.certificate)
-                      | (distance <= _refute_margin(tolerances)))
+    gray = ~failed & ((res < CERTIFICATE_TOL) | (distance <= REFUTE_MARGIN))
     res[failed] = np.nan
     skipped = [(k, "eigenvalue iteration did not converge")
                for k in np.flatnonzero(failed).tolist()]
@@ -695,9 +548,8 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         scaled = ComplexPolynomial.make(
             tuple(c * lam ** idx for idx, c in enumerate(poly.coeffs)))
         try:
-            cert = unit_circle_root_certificate(scaled, tolerances.certificate,
-                                                tolerances)
-        except RootFindingError as exc:
+            cert = unit_circle_root_certificate(scaled)
+        except np.linalg.LinAlgError as exc:
             skipped.append((k, str(exc)))
             res[k] = np.nan
             continue

@@ -3,9 +3,9 @@ batched screen in ``burau.spectral.strict_gap_check``.
 
 At every grid point the reduced characteristic polynomial is specialized,
 rescaled by lam*X for X, and put through ``unit_circle_root_certificate``
-(Sylvester resultant plus Aberth roots).  No mirroring, no blocks and no
-eigenvalues: it shares only the sweep and the per-point certificate with the
-library.
+(Sylvester resultant plus merged companion-matrix roots).  No mirroring, no
+blocks and no eigenvalues of the Burau matrix: it shares only the sweep and
+the per-point certificate with the library.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from burau.foxburau import BurauMatrix, reduce_full
 from burau.laurent import BivariatePoly, charpoly
 from burau.spectral import (
-    DEFAULT_TOLERANCES,
     ComplexPolynomial,
     GapReport,
-    RootFindingError,
-    Tolerances,
     UnitRootCertificate,
     specialize_bivariate,
     sweep_unit_circle,
@@ -30,15 +29,13 @@ from burau.spectral import (
 
 
 def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
-                               refine: bool = True,
-                               tolerances: Tolerances = DEFAULT_TOLERANCES
-                               ) -> GapReport:
+                               refine: bool = True) -> GapReport:
     """``strict_gap_check`` with one certificate per grid point."""
     if lam <= 1:
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix
     bi = charpoly(reduced)
-    sweep = sweep_unit_circle(reduced, grid, refine, tolerances)
+    sweep = sweep_unit_circle(reduced, grid, refine)
     sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
     min_res = None
@@ -50,8 +47,8 @@ def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     for k in range(grid):
         theta = 2 * math.pi * k / grid
         try:
-            cert = point_certificate(bi, lam, theta, tolerances)
-        except RootFindingError as exc:
+            cert = point_certificate(bi, lam, theta)
+        except np.linalg.LinAlgError as exc:
             skipped.append((k, str(exc)))
             continue
         if cert.resultant_abs is not None and (
@@ -81,11 +78,10 @@ def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     )
 
 
-def point_certificate(bi: BivariatePoly, lam: float, theta: float,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES
-                      ) -> UnitRootCertificate:
+def point_certificate(bi: BivariatePoly, lam: float,
+                      theta: float) -> UnitRootCertificate:
     """The certificate of bi specialized at exp(i theta), X rescaled by lam."""
     poly = specialize_bivariate(bi, cmath.exp(1j * theta))
     scaled = ComplexPolynomial.make(
         tuple(c * lam ** idx for idx, c in enumerate(poly.coeffs)))
-    return unit_circle_root_certificate(scaled, tolerances.certificate, tolerances)
+    return unit_circle_root_certificate(scaled)

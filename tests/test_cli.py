@@ -2,9 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from burau.cli import EXIT_CHECK_FAILED, EXIT_USAGE, main
+from burau.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_USAGE, main
 from burau.laurent import MAX_CHARPOLY_DIM, LaurentPoly
 
 from conftest import ladder, power
@@ -173,6 +174,8 @@ class TestJsonEnvelope:
         assert payload["permutation"] == [3, 1, 2]
         assert set(payload) == {"braid", "strands", "exponent_sum", "permutation",
                                 "results", "config", "diagnostics"}
+        assert set(payload["config"]) == {"grid", "refine", "format", "iters",
+                                          "budget"}
 
     def test_matrix_json_reconstructs(self, capsys):
         from burau.foxburau import burau_matrix
@@ -236,15 +239,30 @@ class TestExitCodes:
 
     def test_non_convergence_is_three(self, capsys, monkeypatch):
         import burau.cli as cli
-        from burau.spectral import RootFindingError
 
         def explode(cfg, word):
-            raise RootFindingError("stuck", [1j], [0.5])
+            raise np.linalg.LinAlgError("stuck")
 
         monkeypatch.setitem(cli._COMMANDS, "growth", explode)
         code, _, err = run(capsys, "growth", "-n", "2", "1")
         assert code == 3
         assert "non-convergence" in err
+
+    def test_eigenvalue_failure_is_three(self, capsys, monkeypatch):
+        # LinAlgError is a ValueError; it must not reach the usage handler.
+        def explode(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", explode)
+        code, _, err = run(capsys, "entropy-bound", "-n", "3", "1 -2",
+                           "--grid", "16")
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numerical non-convergence")
+
+    def test_tolerance_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "entropy-bound", "-n", "3", "1 -2",
+                         "--grid", "64", "--tol-root", "1e-9")
+        assert code == EXIT_USAGE
 
 
 def _reject_constant(name):
@@ -323,15 +341,6 @@ def test_braid_matrix_is_built_once(capsys, monkeypatch, argv, total):
     assert sources.count(parse_braid("1 -2 -3", 4)) == 1
     if total is not None:
         assert len(sources) == total
-
-
-def test_tolerance_flags_are_wired(capsys):
-    code, out, _ = run(capsys, "entropy-bound", "-n", "3", "1 -2",
-                       "--grid", "64", "--tol-refine", "1e-6",
-                       "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["config"]["tolerances"]["refine_interval"] == 1e-6
 
 
 def test_deterministic_output(capsys):
