@@ -45,7 +45,6 @@ from .spectral import (
     SweepResult,
     UnitRootCertificate,
     burau_radius_sweep,
-    char_poly_complex,
     entropy_lower_bound,
     reciprocal_conjugate,
     resultant,

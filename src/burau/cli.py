@@ -31,7 +31,7 @@ from .foxburau import (
     reduced_burau,
 )
 from .freegroup import artin_action, growth_rate_estimate, occurrence_matrix
-from .laurent import _fmt_complex, charpoly
+from .laurent import charpoly
 from .spectral import (
     burau_radius_sweep,
     entropy_lower_bound,
@@ -66,6 +66,11 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _fmt_complex(z: complex) -> str:
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}j"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,9 +277,9 @@ def cmd_growth(cfg: RunConfig, word: BraidWord) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig, word: BraidWord, full: BurauMatrix) -> list:
+def _verify_checks(cfg: RunConfig, word: BraidWord, full: BurauMatrix):
     """Cross-module invariant suite for one braid and its full Burau matrix;
-    returns (name, ok) pairs."""
+    returns its (name, ok) pairs and the reduced matrix's charpoly."""
     from .laurent import BivariatePoly, LaurentPoly
 
     checks = []
@@ -343,15 +348,16 @@ def _verify_checks(cfg: RunConfig, word: BraidWord, full: BurauMatrix) -> list:
                 if abs(values[i, j]) > occ.entries[i][j] + 1e-9:
                     bound_ok = False
     checks.append(("occurrence bound dominates |b_ij(t)|", bound_ok))
-    return checks
+    return checks, reduced_charpoly
 
 
 def cmd_verify(cfg: RunConfig, word: BraidWord) -> int:
     full = burau_matrix(word)
-    checks = _verify_checks(cfg, word, full)
+    checks, reduced_charpoly = _verify_checks(cfg, word, full)
     gap = None
     if cfg.gap_lambda is not None:
-        gap = strict_gap_check(full, cfg.gap_lambda, cfg.grid, cfg.refine)
+        gap = strict_gap_check(full, cfg.gap_lambda, cfg.grid, cfg.refine,
+                               reduced_charpoly=reduced_charpoly)
         checks.append((f"strict gap vs lambda={_fmt(cfg.gap_lambda)}",
                        gap.gap_holds))
     all_ok = all(ok for _, ok in checks)

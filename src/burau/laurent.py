@@ -1,10 +1,9 @@
 """Exact sparse Laurent polynomials, square matrices over them, and dense
 polynomials in an outer variable with Laurent coefficients.
 
-Integer coefficients use Python's arbitrary-precision ints, so products of
-matrix entries never overflow.  The complex coefficient domain mirrors the
-integer one but prunes small coefficients only through an explicit
-``normalize`` call.
+Coefficients are Python's arbitrary-precision ints, so products of matrix
+entries never overflow.  Complex values arise only when a matrix is
+specialized at a complex t, which ``burau.spectral`` does in numpy.
 """
 
 from __future__ import annotations
@@ -12,99 +11,73 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-INT = "int"
-COMPLEX = "complex"
-
-_DOMAINS = (INT, COMPLEX)
-
-Coeff = "int | complex"
-
-
-def _check_domain(domain: str) -> None:
-    if domain not in _DOMAINS:
-        raise ValueError(f"unknown coefficient domain {domain!r}")
-
-
-def _check_same_domain(a: "LaurentPoly", b: "LaurentPoly") -> None:
-    if a.domain != b.domain:
-        raise ValueError(f"coefficient domain mismatch: {a.domain} vs {b.domain}")
-
 
 @dataclass(frozen=True)
 class LaurentPoly:
     """Sparse polynomial in t and t^-1.
 
     ``terms`` holds (exponent, coefficient) pairs in strictly ascending
-    exponent order with no zero coefficients; the empty tuple is the zero
-    polynomial.
+    exponent order with no zero coefficients, each an int; the empty tuple
+    is the zero polynomial.
     """
 
     terms: tuple = ()
-    domain: str = INT
 
     def __post_init__(self) -> None:
-        _check_domain(self.domain)
         last = None
         for exp, coeff in self.terms:
+            if not isinstance(coeff, int):
+                raise ValueError(f"non-integer coefficient {coeff!r} in LaurentPoly")
             if coeff == 0:
                 raise ValueError("zero coefficient stored in LaurentPoly")
             if last is not None and exp <= last:
                 raise ValueError("terms must be strictly ascending in exponent")
-            if self.domain == INT and not isinstance(coeff, int):
-                raise ValueError(f"non-integer coefficient {coeff!r} in integer domain")
             last = exp
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_dict(coeffs: dict, domain: str = INT) -> "LaurentPoly":
-        _check_domain(domain)
-        if domain == COMPLEX:
-            items = tuple(sorted((int(e), complex(c)) for e, c in coeffs.items()
-                                 if complex(c) != 0))
-        else:
-            items = tuple(sorted((int(e), c) for e, c in coeffs.items() if c != 0))
-        return LaurentPoly(items, domain)
+    def from_dict(coeffs: dict) -> "LaurentPoly":
+        return LaurentPoly(tuple(sorted((int(e), c) for e, c in coeffs.items()
+                                        if c != 0)))
 
     @staticmethod
-    def zero(domain: str = INT) -> "LaurentPoly":
-        return LaurentPoly((), domain)
+    def zero() -> "LaurentPoly":
+        return LaurentPoly()
 
     @staticmethod
-    def constant(c, domain: str = INT) -> "LaurentPoly":
-        return LaurentPoly.from_dict({0: c}, domain)
+    def constant(c: int) -> "LaurentPoly":
+        return LaurentPoly.from_dict({0: c})
 
     @staticmethod
-    def one(domain: str = INT) -> "LaurentPoly":
-        return LaurentPoly.constant(1, domain)
+    def one() -> "LaurentPoly":
+        return LaurentPoly.constant(1)
 
     @staticmethod
-    def t_power(exp: int, coeff=1, domain: str = INT) -> "LaurentPoly":
-        return LaurentPoly.from_dict({exp: coeff}, domain)
+    def t_power(exp: int, coeff: int = 1) -> "LaurentPoly":
+        return LaurentPoly.from_dict({exp: coeff})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_domain(self, other)
         acc = dict(self.terms)
         for exp, coeff in other.terms:
             acc[exp] = acc.get(exp, 0) + coeff
-        return LaurentPoly.from_dict(acc, self.domain)
+        return LaurentPoly.from_dict(acc)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms), self.domain)
+        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_domain(self, other)
         acc: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(acc, self.domain)
+        return LaurentPoly.from_dict(acc)
 
     # -- queries -----------------------------------------------------------
 
@@ -122,37 +95,7 @@ class LaurentPoly:
         """Sum of all coefficients, i.e. the exact value at t = 1."""
         return sum(c for _, c in self.terms)
 
-    def min_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.terms[0][0]
-
-    def max_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.terms[-1][0]
-
-    # -- morphisms ---------------------------------------------------------
-
-    def bar(self) -> "LaurentPoly":
-        """Exchange t and t^-1; complex coefficients are also conjugated."""
-        if self.domain == COMPLEX:
-            items = tuple((-e, c.conjugate()) for e, c in reversed(self.terms))
-        else:
-            items = tuple((-e, c) for e, c in reversed(self.terms))
-        return LaurentPoly(items, self.domain)
-
-    def to_complex(self) -> "LaurentPoly":
-        if self.domain == COMPLEX:
-            return self
-        return LaurentPoly(tuple((e, complex(c)) for e, c in self.terms), COMPLEX)
-
-    def normalize(self, eps: float = 1e-12) -> "LaurentPoly":
-        """Prune complex coefficients of magnitude below eps (explicit only)."""
-        if self.domain != COMPLEX:
-            return self
-        return LaurentPoly(tuple((e, c) for e, c in self.terms if abs(c) >= eps),
-                           COMPLEX)
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, t: complex) -> complex:
         """Value at a nonzero complex t, by exponent-sorted Horner accumulation."""
@@ -175,46 +118,28 @@ class LaurentPoly:
             return "0"
         pieces = []
         for exp, coeff in self.terms:
-            if self.domain == COMPLEX:
-                sign, body = "+", f"({_fmt_complex(coeff)})" + _t_suffix(exp)
+            sign = "-" if coeff < 0 else "+"
+            mag = abs(coeff)
+            if exp == 0:
+                body = str(mag)
+            elif mag == 1:
+                body = _t_name(exp)
             else:
-                sign = "-" if coeff < 0 else "+"
-                mag = abs(coeff)
-                if exp == 0:
-                    body = str(mag)
-                elif mag == 1:
-                    body = _t_name(exp)
-                else:
-                    body = f"{mag}*{_t_name(exp)}"
+                body = f"{mag}*{_t_name(exp)}"
             pieces.append((sign, body))
         return join_signed(pieces)
 
     def to_json(self) -> dict:
-        """Map from exponent strings to coefficient strings (exact) or [re, im]."""
-        if self.domain == COMPLEX:
-            return {str(e): [c.real, c.imag] for e, c in self.terms}
+        """Map from exponent strings to exact coefficient strings."""
         return {str(e): str(c) for e, c in self.terms}
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
-        coeffs: dict = {}
-        domain = INT
-        for key, value in obj.items():
-            if isinstance(value, str):
-                coeffs[int(key)] = int(value)
-            else:
-                re, im = value
-                coeffs[int(key)] = complex(re, im)
-                domain = COMPLEX
-        return LaurentPoly.from_dict(coeffs, domain)
+        return LaurentPoly.from_dict({int(e): int(c) for e, c in obj.items()})
 
 
 def _t_name(exp: int) -> str:
     return "t" if exp == 1 else f"t^{exp}"
-
-
-def _t_suffix(exp: int) -> str:
-    return "" if exp == 0 else "*" + _t_name(exp)
 
 
 def join_signed(pieces) -> str:
@@ -225,15 +150,9 @@ def join_signed(pieces) -> str:
     return head + "".join(f" {sign} {body}" for sign, body in pieces[1:])
 
 
-def _fmt_complex(z: complex) -> str:
-    re = f"{z.real:.12g}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{abs(z.imag):.12g}j"
-
-
 @dataclass(frozen=True)
 class LaurentMatrix:
-    """Square matrix over a single Laurent coefficient domain."""
+    """Square matrix of Laurent polynomials."""
 
     rows: tuple
 
@@ -241,30 +160,18 @@ class LaurentMatrix:
         n = len(self.rows)
         if n == 0:
             raise ValueError("LaurentMatrix must have positive dimension")
-        domain = self.rows[0][0].domain
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("LaurentMatrix must be square")
-            for entry in row:
-                if entry.domain != domain:
-                    raise ValueError("mixed coefficient domains in LaurentMatrix")
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def domain(self) -> str:
-        return self.rows[0][0].domain
-
     @staticmethod
-    def from_lists(rows: Iterable[Iterable[LaurentPoly]]) -> "LaurentMatrix":
-        return LaurentMatrix(tuple(tuple(row) for row in rows))
-
-    @staticmethod
-    def identity(n: int, domain: str = INT) -> "LaurentMatrix":
-        one = LaurentPoly.one(domain)
-        zero = LaurentPoly.zero(domain)
+    def identity(n: int) -> "LaurentMatrix":
+        one = LaurentPoly.one()
+        zero = LaurentPoly.zero()
         return LaurentMatrix(tuple(tuple(one if i == j else zero for j in range(n))
                                    for i in range(n)))
 
@@ -275,7 +182,7 @@ class LaurentMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
         n = self.dim
-        zero = LaurentPoly.zero(self.domain)
+        zero = LaurentPoly.zero()
         out = []
         for i in range(n):
             row = []
@@ -304,9 +211,6 @@ class BivariatePoly:
     def __post_init__(self) -> None:
         if self.coeffs and self.coeffs[-1].is_zero:
             raise ValueError("leading coefficient of BivariatePoly must be nonzero")
-        domains = {c.domain for c in self.coeffs}
-        if len(domains) > 1:
-            raise ValueError("mixed coefficient domains in BivariatePoly")
 
     @staticmethod
     def make(coeffs: Iterable[LaurentPoly]) -> "BivariatePoly":
@@ -328,12 +232,12 @@ class BivariatePoly:
     def coefficient(self, k: int) -> LaurentPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return LaurentPoly.zero(self.coeffs[0].domain if self.coeffs else INT)
+        return LaurentPoly.zero()
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         if self.is_zero or other.is_zero:
             return BivariatePoly()
-        zero = LaurentPoly.zero(self.coeffs[0].domain)
+        zero = LaurentPoly.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
@@ -369,7 +273,7 @@ def _var_name(var: str, k: int) -> str:
 
 def _bivariate_piece(c: LaurentPoly, k: int, var: str):
     xpart = "" if k == 0 else _var_name(var, k)
-    if len(c.terms) == 1 and c.domain == INT:
+    if len(c.terms) == 1:
         exp, coeff = c.terms[0]
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
@@ -417,7 +321,7 @@ def charpoly(m: LaurentMatrix) -> BivariatePoly:
         raise ValueError(
             f"characteristic polynomial limited to dimension {MAX_CHARPOLY_DIM}, got {n}")
     rows = m.rows
-    one, zero = LaurentPoly.one(m.domain), LaurentPoly.zero(m.domain)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
     p = [one]
     for r in range(n):
         toeplitz = [one, -rows[r][r]]

@@ -1,6 +1,7 @@
-"""Complex specializations of Laurent matrices, characteristic polynomials,
-polynomial roots as companion-matrix eigenvalues, unit-circle
-spectral-radius sweeps, and the resultant certificate for unit-circle roots.
+"""Complex specializations of Laurent matrices and of their characteristic
+polynomials, polynomial roots as companion-matrix eigenvalues, spectral
+radii, unit-circle sweeps, and the resultant certificate for unit-circle
+roots.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .foxburau import BurauMatrix, burau_matrix, reduce_full
-from .laurent import INT, BivariatePoly, LaurentMatrix, charpoly
+from .laurent import BivariatePoly, LaurentMatrix, charpoly
 
 MAX_COMPLEX_DIM = 64
 LEADING_EPS = 1e-12
@@ -32,9 +33,9 @@ REFINE_INTERVAL = 1e-10
 _CLUSTER_RADIUS = 6e-2
 _CLUSTER_GATE = 1e-10
 
-# Grid points per block of the batched strict-gap screen, so that its
-# Sylvester and eigenvalue stacks stay small whatever the grid.
-_SCREEN_BLOCK = 256
+# Grid points per block of the batched sweep and strict-gap screen, so that
+# their matrix, Sylvester and eigenvalue stacks stay small whatever the grid.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -130,23 +131,6 @@ def specialize_bivariate(p: BivariatePoly, t: complex) -> ComplexPolynomial:
     return ComplexPolynomial.make(p.coefficients_at(t))
 
 
-def char_poly_complex(m: np.ndarray) -> ComplexPolynomial:
-    """Characteristic polynomial det(X I - m) of a dense complex matrix.
-
-    Coefficients come from the eigenvalues (``np.poly``); the result is
-    exactly monic by construction.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > MAX_COMPLEX_DIM:
-        raise ValueError(f"dimension {n} exceeds limit {MAX_COMPLEX_DIM}")
-    if n == 0:
-        return ComplexPolynomial.make([1.0])
-    return ComplexPolynomial.make(np.poly(m)[::-1])
-
-
 def roots(p: ComplexPolynomial) -> list:
     """All complex roots with multiplicity: the eigenvalues of the companion
     matrix (``np.roots``), zero roots split off exactly.  Clusters that
@@ -221,12 +205,21 @@ def _horner(coeffs, z: complex) -> complex:
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    """Largest root modulus of the characteristic polynomial."""
+    """Largest eigenvalue modulus of a dense complex matrix, with each
+    cluster of eigenvalues that agrees with a multiple root of the monic
+    characteristic polynomial (``np.poly`` of the eigenvalues) replaced by
+    its centroid, as ``roots`` does."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] == 0:
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if n > MAX_COMPLEX_DIM:
+        raise ValueError(f"dimension {n} exceeds limit {MAX_COMPLEX_DIM}")
+    if n == 0:
         return 0.0
-    poly = char_poly_complex(m)
-    return max(abs(r) for r in roots(poly))
+    eigs = np.linalg.eigvals(m)
+    monic = np.poly(eigs)[::-1].tolist()
+    return max(abs(z) for z in _merge_root_clusters(eigs.tolist(), monic))
 
 
 @dataclass(frozen=True)
@@ -246,25 +239,26 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
                       refine: bool = True) -> SweepResult:
     """Maximum spectral radius of m(t) over the unit circle.
 
-    Specializes m on the whole grid t = exp(2 pi i k / grid) at once and
-    takes every radius from batched eigenvalues.  An integer matrix has
-    m(conj t) = conj m(t), so its radius is symmetric under theta -> -theta:
-    only k = 0 .. grid/2 are evaluated, the rest are mirrored, and reported
-    maxima lie in [0, pi].  Golden-section refinement runs around each strict
-    local maximum whose grid value lies within ``margin`` of the grid
-    maximum, where ``margin`` is the largest difference between neighbouring
-    grid values; the searches advance in lockstep, one batched evaluation
-    per step.  Points where the eigenvalue iteration fails are skipped, not
-    fatal.
+    Specializes m on the grid t = exp(2 pi i k / grid) in blocks of
+    ``_BLOCK`` points and takes every radius from batched eigenvalues.  The
+    matrix has integer coefficients, so m(conj t) = conj m(t) and its radius
+    is symmetric under theta -> -theta: only k = 0 .. grid/2 are evaluated,
+    the rest are mirrored, and reported maxima lie in [0, pi].
+    Golden-section refinement runs around each strict local maximum whose
+    grid value lies within ``margin`` of the grid maximum, where ``margin``
+    is the largest difference between neighbouring grid values; the searches
+    advance in lockstep, one batched evaluation per step.  Points where the
+    eigenvalue iteration fails are skipped, not fatal.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
     coeffs, low = _coefficient_array(m)
-    symmetric = m.domain == INT
-    count = grid // 2 + 1 if symmetric else grid
+    count = grid // 2 + 1
     thetas = 2 * math.pi * np.arange(grid) / grid
-    values = _mirror(
-        _moduli(_evaluate(coeffs, low, np.exp(1j * thetas[:count]))).max(-1), grid)
+    ts = np.exp(1j * thetas[:count])
+    values = _mirror(np.concatenate([
+        _moduli(_evaluate(coeffs, low, ts[start:start + _BLOCK])).max(-1)
+        for start in range(0, count, _BLOCK)]), grid)
 
     def radii_at(points: list) -> list:
         stack = _evaluate(coeffs, low, [cmath.exp(1j * theta) for theta in points])
@@ -296,7 +290,7 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
         for theta, value, its in _lockstep(radii_at, searches):
             iterations += its
             theta %= 2 * math.pi
-            if symmetric and theta > math.pi:
+            if theta > math.pi:
                 theta = 2 * math.pi - theta
             if value > best_value or (value == best_value and theta < best_theta):
                 best_theta, best_value = theta, value
@@ -498,7 +492,8 @@ class GapReport:
 
 
 def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
-                     refine: bool = True) -> GapReport:
+                     refine: bool = True, *,
+                     reduced_charpoly: BivariatePoly | None = None) -> GapReport:
     """Check lam > sup of the Burau spectral radius over the unit circle,
     for a braid given by its full Burau matrix.
 
@@ -506,7 +501,7 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     specialized at t, rescaled by substituting lam*X for X, and screened for
     unit-circle roots (a root there would witness an eigenvalue of modulus
     lam).  The screen is one batched pass over k = 0 .. grid/2, in blocks of
-    ``_SCREEN_BLOCK`` points, mirrored to the rest of the grid: |Res(p, p*)|
+    ``_BLOCK`` points, mirrored to the rest of the grid: |Res(p, p*)|
     from a stack of Sylvester determinants, and the root-modulus distance
     min | |mu|/lam - 1 | from the eigenvalues mu of the reduced matrix.
     Gray-band points (the resultant fires, the distance is within the
@@ -522,15 +517,17 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     ``min_resultant_abs`` is None when no grid point was screened.  A gap
     holds only on complete evidence: no grid point skipped, by the screen or
     by the sweep, no unit root, and the sweep maximum below lam.
+    ``reduced_charpoly``, when given, is the charpoly of the reduced matrix,
+    for a caller that has it already.
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix
-    bi = charpoly(reduced)
+    bi = charpoly(reduced) if reduced_charpoly is None else reduced_charpoly
     sweep = sweep_unit_circle(reduced, grid, refine)
     sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
-    count = grid // 2 + 1 if reduced.domain == INT else grid
+    count = grid // 2 + 1
     thetas = 2 * math.pi * np.arange(grid) / grid
     res, distance = (_mirror(values, grid) for values in _unit_root_screen(
         reduced, bi, lam, np.exp(1j * thetas[:count])))
@@ -585,7 +582,7 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
 def _unit_root_screen(reduced: LaurentMatrix, bi: BivariatePoly, lam: float,
                       ts: np.ndarray):
     """Batched unit-root screen of p(X) = charpoly(reduced)(lam X) at the
-    points ts, in blocks of ``_SCREEN_BLOCK``: |Res(p, p*)| from one
+    points ts, in blocks of ``_BLOCK``: |Res(p, p*)| from one
     Sylvester determinant per point, and min | |mu|/lam - 1 | over the
     eigenvalues mu of reduced(t), whose quotients by lam are the roots of p.
     The distance is NaN where the eigenvalue iteration fails; the resultant
@@ -597,8 +594,8 @@ def _unit_root_screen(reduced: LaurentMatrix, bi: BivariatePoly, lam: float,
     scale = lam ** np.arange(d + 1)
     res = np.empty(len(ts))
     distance = np.empty(len(ts))
-    for start in range(0, len(ts), _SCREEN_BLOCK):
-        block = slice(start, start + _SCREEN_BLOCK)
+    for start in range(0, len(ts), _BLOCK):
+        block = slice(start, start + _BLOCK)
         p = _evaluate(pcoeffs, plow, ts[block]) * scale
         sylvester = np.zeros((len(p), 2 * d, 2 * d), dtype=complex)
         for r in range(d):

@@ -8,14 +8,14 @@ so keep it to dimension 12 or so.
 
 from __future__ import annotations
 
-from burau.laurent import INT, BivariatePoly, LaurentMatrix, LaurentPoly
+from burau.laurent import BivariatePoly, LaurentMatrix, LaurentPoly
 
 
 def _add(a: tuple, b: tuple, sign: int) -> tuple:
     """a + sign * b for coefficient tuples in ascending powers of X."""
     if not b:
         return a
-    zero = LaurentPoly.zero(b[0].domain)
+    zero = LaurentPoly.zero()
     out = []
     for k in range(max(len(a), len(b))):
         x = a[k] if k < len(a) else zero
@@ -32,8 +32,7 @@ def bivariate_det(entries) -> BivariatePoly:
     """Determinant of a square grid of ``BivariatePoly`` entries."""
     n = len(entries)
     entries = [[entry.coeffs for entry in row] for row in entries]
-    domains = {c.domain for row in entries for entry in row for c in entry}
-    one = LaurentPoly.one(domains.pop() if domains else INT)
+    one = LaurentPoly.one()
     memo: dict = {}
 
     def det(cols: int) -> tuple:
@@ -66,7 +65,7 @@ def laurent_det(m: LaurentMatrix) -> LaurentPoly:
 
 def cofactor_charpoly(m: LaurentMatrix) -> BivariatePoly:
     """det(X*I - m) by cofactor expansion."""
-    one = LaurentPoly.one(m.domain)
+    one = LaurentPoly.one()
     return bivariate_det([[BivariatePoly.make([-m.entry(i, j), one] if i == j
                                               else [-m.entry(i, j)])
                            for j in range(m.dim)] for i in range(m.dim)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from burau.braid import BraidWord, compose
 from burau.foxburau import FULL, BurauMatrix, burau_matrix
 from burau.freegroup import FreeAutomorphism, FreeWord, concat
-from burau.laurent import INT, LaurentMatrix, LaurentPoly
+from burau.laurent import LaurentMatrix, LaurentPoly
 
 from cofactor_det import laurent_det
 
@@ -146,7 +146,7 @@ def abelianize(g: GroupRingElement) -> LaurentPoly:
     for w, c in g.terms:
         e = w.exponent_sum
         acc[e] = acc.get(e, 0) + c
-    return LaurentPoly.from_dict(acc, INT)
+    return LaurentPoly.from_dict(acc)
 
 
 def monomial_count(g: GroupRingElement) -> int:

@@ -26,7 +26,6 @@ from burau.freegroup import (
 from burau.laurent import BivariatePoly, LaurentPoly, charpoly
 from burau.spectral import (
     ComplexPolynomial,
-    char_poly_complex,
     entropy_lower_bound,
     roots,
     specialize,
@@ -164,7 +163,7 @@ def test_criterion_6_example_3():
     radius = spectral_radius(specialize(full, -1))
     assert abs(radius - lam) < 1e-9
     # -lam itself is an eigenvalue at t = -1
-    eigs = roots(char_poly_complex(specialize(full, -1)))
+    eigs = roots(ComplexPolynomial.make(np.poly(specialize(full, -1))[::-1]))
     assert min(abs(mu + lam) for mu in eigs) < 1e-9
 
     sweep = sweep_unit_circle(full, grid=1024, refine=True)

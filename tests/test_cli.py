@@ -343,6 +343,27 @@ def test_braid_matrix_is_built_once(capsys, monkeypatch, argv, total):
         assert len(sources) == total
 
 
+def test_reduced_charpoly_is_taken_once(capsys, monkeypatch):
+    import burau.cli
+    import burau.laurent
+    import burau.spectral
+
+    exact = burau.laurent.charpoly
+    dims = []
+
+    def counting(m):
+        dims.append(m.dim)
+        return exact(m)
+
+    for module in (burau.laurent, burau.spectral, burau.cli):
+        monkeypatch.setattr(module, "charpoly", counting)
+    code, _, _ = run(capsys, "verify", "-n", "4", "1 -2 -3",
+                     "--gap-lambda", "2.3", "--grid", "64")
+    assert code == 0
+    # The full matrix's, then the reduced matrix's, which the gap check reuses.
+    assert dims == [4, 3]
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "sweep", "-n", "3", "1 -2", "--grid", "32")
     second = run(capsys, "sweep", "-n", "3", "1 -2", "--grid", "32")

@@ -14,7 +14,6 @@ from burau.laurent import LaurentMatrix, charpoly
 from burau.spectral import (
     ComplexPolynomial,
     burau_radius_sweep,
-    char_poly_complex,
     entropy_lower_bound,
     reciprocal_conjugate,
     resultant,
@@ -28,7 +27,7 @@ from burau.spectral import (
     _golden_section_max,
     _lockstep,
 )
-from conftest import bisect_largest_root, random_braid
+from conftest import bisect_largest_root, ladder, random_braid
 from pointwise_gap import point_certificate, pointwise_strict_gap_check
 
 GOLDEN = (3 + math.sqrt(5)) / 2
@@ -76,18 +75,19 @@ class TestSpecialize:
             specialize_bivariate(charpoly(burau_matrix(ex1).matrix), 0)
 
 
-class TestCharPolyComplex:
-    def test_identity_3x3(self):
-        poly = char_poly_complex(np.eye(3))
-        assert np.allclose(poly.coeffs, [-1, 3, -3, 1])
+def _complex_charpoly(m: np.ndarray) -> ComplexPolynomial:
+    """det(X I - m) from numpy's eigenvalues, ascending coefficients."""
+    return ComplexPolynomial.make(np.poly(m)[::-1])
 
+
+class TestCharPolyComplex:
     def test_example_1_at_minus_one(self, ex1):
-        poly = char_poly_complex(specialize(burau_matrix(ex1).matrix, -1))
+        poly = _complex_charpoly(specialize(burau_matrix(ex1).matrix, -1))
         # (X-1)(X^2 - 3X + 1) = -1 + 4X - 4X^2 + X^3
         assert np.allclose(poly.coeffs, [-1, 4, -4, 1], atol=1e-12)
 
     def test_example_3_at_minus_one(self, ex3):
-        poly = char_poly_complex(specialize(burau_matrix(ex3).matrix, -1))
+        poly = _complex_charpoly(specialize(burau_matrix(ex3).matrix, -1))
         # (X-1)(X^4 + X^3 - X^2 + X + 1) = -1 + 0X + 2X^2 - 2X^3 + 0X^4 + X^5
         assert np.allclose(poly.coeffs, [-1, 0, 2, -2, 0, 1], atol=1e-12)
 
@@ -98,14 +98,14 @@ class TestCharPolyComplex:
             theta = rng.uniform(0, 2 * math.pi)
             t = cmath.exp(1j * theta)
             symbolic = specialize_bivariate(charpoly(burau_matrix(w).matrix), t)
-            numeric = char_poly_complex(specialize(burau_matrix(w).matrix, t))
+            numeric = _complex_charpoly(specialize(burau_matrix(w).matrix, t))
             assert len(symbolic.coeffs) == len(numeric.coeffs)
             for a, b in zip(symbolic.coeffs, numeric.coeffs):
                 assert abs(a - b) < 1e-9
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            char_poly_complex(np.eye(65))
+            spectral_radius(np.eye(65))
 
 
 class TestRoots:
@@ -466,6 +466,18 @@ class TestStrictGap:
         # whole half grid peaks near 3.4 MB.
         assert peak < 2_000_000
 
+    def test_sweep_memory_is_blocked(self):
+        reduced = reduced_burau(parse_braid(f"{ladder(20)} {ladder(20)}", 20)).matrix
+        tracemalloc.start()
+        try:
+            sweep_unit_circle(reduced, grid=4096, refine=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Blocks of 256 points peak near 1.9 MB; the 2049 specialized
+        # 19 x 19 matrices of the whole half grid at once peak near 13.9 MB.
+        assert peak < 4_000_000
+
 
 def test_lockstep_searches_match_single_runs():
     # Intervals of different widths finish after different step counts.
@@ -504,7 +516,7 @@ class TestReciprocalSymmetry:
             w = random_braid(rng, max_strands=5, max_length=8)
             theta = rng.uniform(0, 2 * math.pi)
             t = cmath.exp(1j * theta)
-            poly = char_poly_complex(specialize(burau_matrix(w).matrix, t))
+            poly = _complex_charpoly(specialize(burau_matrix(w).matrix, t))
             scale = sum(abs(c) for c in poly.coeffs)
             assert abs(poly.evaluate(1)) < 1e-8 * scale
             eigs = roots(poly)
