@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,8 +49,9 @@ class TestRingOps:
 
     @pytest.mark.parametrize("make", [lambda: LaurentPoly(((0, 1.5),)),
                                       lambda: LaurentPoly(((0, 1j),)),
-                                      lambda: LaurentPoly.from_dict({0: 0.5})],
-                             ids=["float", "complex", "from_dict"])
+                                      lambda: LaurentPoly.from_dict({0: 0.5}),
+                                      lambda: LaurentPoly.from_dict({0: np.int64(2)})],
+                             ids=["float", "complex", "from_dict", "numpy_int"])
     def test_non_integer_coefficient_rejected(self, make):
         with pytest.raises(ValueError):
             make()

@@ -10,6 +10,7 @@ import pytest
 from burau.braid import BraidWord, parse_braid, permutation
 from burau.foxburau import burau_matrix, reduce_full, reduced_burau
 from burau.freegroup import artin_action, compose_autos, occurrence_matrix
+from burau import spectral
 from burau.laurent import LaurentMatrix, charpoly
 from burau.spectral import (
     ComplexPolynomial,
@@ -81,6 +82,10 @@ def _complex_charpoly(m: np.ndarray) -> ComplexPolynomial:
 
 
 class TestCharPolyComplex:
+    def test_identity_3x3(self):
+        assert np.allclose(_complex_charpoly(np.eye(3)).coeffs, [-1, 3, -3, 1])
+        assert spectral_radius(np.eye(3)) == 1.0
+
     def test_example_1_at_minus_one(self, ex1):
         poly = _complex_charpoly(specialize(burau_matrix(ex1).matrix, -1))
         # (X-1)(X^2 - 3X + 1) = -1 + 4X - 4X^2 + X^3
@@ -201,6 +206,16 @@ class TestSpectralRadius:
 
     def test_empty_matrix(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, -1.5])
+    def test_jordan_block_merges(self, lam):
+        # A 3 x 3 Jordan block, conjugated so that its eigenvalues are not
+        # read off a triangle: eigvals smears them about 5e-6 apart, and the
+        # merge puts the triple root back.
+        s = np.array([[1, 2, 0], [0, 1, 3], [1, 0, 1]], dtype=float)
+        m = s @ (lam * np.eye(3) + np.diag([1.0, 1.0], 1)) @ np.linalg.inv(s)
+        assert abs(np.abs(np.linalg.eigvals(m)).max() - abs(lam)) > 1e-7
+        assert spectral_radius(m) == pytest.approx(abs(lam), abs=1e-12)
 
 
 class TestSweep:
@@ -465,6 +480,24 @@ class TestStrictGap:
         # Blocks of 256 points peak near 1 MB; a Sylvester stack over the
         # whole half grid peaks near 3.4 MB.
         assert peak < 2_000_000
+
+    def test_given_reduced_charpoly_is_used(self, ex2):
+        full = burau_matrix(ex2)
+        given = charpoly(reduce_full(full).matrix)
+        assert (strict_gap_check(full, 2.3, grid=64, reduced_charpoly=given)
+                == strict_gap_check(full, 2.3, grid=64))
+
+    @pytest.mark.parametrize("block", [1, 5, 32])
+    def test_block_size_leaves_results_unchanged(self, ex2, block, monkeypatch):
+        # Grid 64 evaluates 33 points: blocks of 1, a ragged last block of
+        # 3, and a last block of one point.
+        full = burau_matrix(ex2)
+        reduced = reduce_full(full).matrix
+        sweep = sweep_unit_circle(reduced, grid=64)
+        report = strict_gap_check(full, 2.3, grid=64)
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        assert sweep_unit_circle(reduced, grid=64) == sweep
+        assert strict_gap_check(full, 2.3, grid=64) == report
 
     def test_sweep_memory_is_blocked(self):
         reduced = reduced_burau(parse_braid(f"{ladder(20)} {ladder(20)}", 20)).matrix
