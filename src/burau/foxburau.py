@@ -92,6 +92,5 @@ def alexander_polynomial(w: BraidWord) -> BivariatePoly:
     """det(B^r - x I) = (-1)^d det(x I - B^r) for the d-dimensional reduced
     Burau matrix of the braid word; the closure-with-axis link invariant,
     outer variable x."""
-    reduced = reduced_burau(w).matrix
-    sign = BivariatePoly.make([LaurentPoly.constant((-1) ** reduced.dim)])
-    return sign * charpoly(reduced)
+    poly = charpoly(reduced_burau(w).matrix)
+    return BivariatePoly(tuple(-c for c in poly.coeffs)) if poly.degree % 2 else poly

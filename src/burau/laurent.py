@@ -1,9 +1,11 @@
 """Exact sparse Laurent polynomials, square matrices over them, and dense
 polynomials in an outer variable with Laurent coefficients.
 
-Coefficients are Python's arbitrary-precision ints, so products of matrix
-entries never overflow.  Complex values arise only when a matrix is
-specialized at a complex t, which ``burau.spectral`` does in numpy.
+Coefficients are Python's arbitrary-precision ints, so products never
+overflow.  ``charpoly`` packs each entry into one int by the Kronecker
+substitution t -> 2^K, K one bit wider than a bound on every coefficient of
+the result.  Complex values arise only when a matrix is specialized at a
+complex t, which ``burau.spectral`` does in numpy.
 """
 
 from __future__ import annotations
@@ -291,44 +293,68 @@ def _bivariate_piece(c: LaurentPoly, k: int, var: str):
     return "+", body
 
 
-# The charpoly of the full Burau matrix of L(n)^2 (the ladder 1 -2 3 ...
-# on n strands, squared) takes 0.30 s at n = 16, 0.85 s at 20, 2.3 s at 24
-# and 3.0 s at 25 (best of 2 on a shared 2-CPU machine); its cost grows like
-# d^4 ring products, each growing with the entries' length.
+# The charpoly of the full Burau matrix of L(n)^2 (the ladder 1 -2 3 ... on
+# n strands, squared) takes 26 ms at n = 16, 0.12 s at 20, 0.44 s at 24 and
+# 0.50 s at 25 (best of 3, shared 2-CPU machine): d^4 packed-int products.
 MAX_CHARPOLY_DIM = 24
 
 
-def _dot(row, vec, zero: LaurentPoly) -> LaurentPoly:
+def _pack(m: LaurentMatrix):
+    """Kronecker substitution t -> 2^K of t^-lo m, where lo is the least
+    exponent of any entry: returns (rows of ints, K, lo).  The product over
+    rows of (1 + the row's coefficient L1 sum) bounds every coefficient of
+    every e_k(t^-lo m); K is one bit wider, so signed base-2^K digits hold it.
+    """
+    lo = min((e.terms[0][0] for row in m.rows for e in row if e.terms), default=0)
+    bound = 1
+    for row in m.rows:
+        bound *= 1 + sum(abs(c) for e in row for _, c in e.terms)
+    k = bound.bit_length() + 1
+    return [[sum(c << k * (x - lo) for x, c in e.terms) for e in row]
+            for row in m.rows], k, lo
+
+
+def _unpack(v: int, k: int, shift: int) -> LaurentPoly:
+    """The Laurent polynomial whose signed base-2^k digits are v, the lowest
+    at t^shift."""
+    terms, half, mask = [], 1 << (k - 1), (1 << k) - 1
+    while v:
+        digit = ((v + half) & mask) - half
+        if digit:
+            terms.append((shift, digit))
+        v = (v - digit) >> k
+        shift += 1
+    return LaurentPoly(tuple(terms))
+
+
+def _dot(row, vec) -> int:
     """Sum of row[k] * vec[k] over the shorter of the two; skips zeros."""
-    acc = zero
-    for a, b in zip(row, vec):
-        if not a.is_zero and not b.is_zero:
-            acc = acc + a * b
-    return acc
+    return sum(a * b for a, b in zip(row, vec) if a and b)
 
 
 def charpoly(m: LaurentMatrix) -> BivariatePoly:
     """Exact characteristic polynomial det(X*I - m) over the Laurent ring.
 
-    Berkowitz's division-free algorithm (IPL 18, 1984), O(d^4) ring
-    operations.  Bordering the leading r x r block A by the column c, the
-    row R and the diagonal entry a multiplies the coefficients of
-    det(X*I - A), in descending powers of X, by the lower-triangular
-    Toeplitz matrix with first column (1, -a, -R c, -R A c, ..., -R A^(r-1) c).
+    Berkowitz's division-free algorithm (IPL 18, 1984) on the ints of
+    ``_pack``: bordering the leading r x r block A by the column c, the row R
+    and the diagonal entry a multiplies the coefficients of det(X*I - A), in
+    descending powers of X, by the lower-triangular Toeplitz matrix with
+    first column (1, -a, -R c, -R A c, ..., -R A^(r-1) c).  The coefficient
+    of X^(d-k) is unpacked from signed base-2^K digits and shifted by lo*k
+    exponents, since e_k(m) = t^(lo*k) e_k(t^-lo m).
     """
     n = m.dim
     if n > MAX_CHARPOLY_DIM:
         raise ValueError(
             f"characteristic polynomial limited to dimension {MAX_CHARPOLY_DIM}, got {n}")
-    rows = m.rows
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    p = [one]
+    rows, k, lo = _pack(m)
+    p = [1]
     for r in range(n):
-        toeplitz = [one, -rows[r][r]]
+        toeplitz = [1, -rows[r][r]]
         col = [row[r] for row in rows[:r]]
-        for k in range(r):
-            if k:
-                col = [_dot(row, col, zero) for row in rows[:r]]
-            toeplitz.append(-_dot(rows[r], col, zero))
-        p = [_dot(p, toeplitz[i::-1], zero) for i in range(r + 2)]
-    return BivariatePoly.make(reversed(p))
+        for j in range(r):
+            if j:
+                col = [_dot(row, col) for row in rows[:r]]
+            toeplitz.append(-_dot(rows[r], col))
+        p = [_dot(p, toeplitz[i::-1]) for i in range(r + 2)]
+    return BivariatePoly.make(reversed([_unpack(c, k, lo * i) for i, c in enumerate(p)]))

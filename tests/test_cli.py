@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from burau import laurent
 from burau.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_USAGE, main
-from burau.laurent import MAX_CHARPOLY_DIM, LaurentPoly
+from burau.laurent import MAX_CHARPOLY_DIM
 
 from conftest import ladder, power
 
@@ -221,12 +222,12 @@ class TestExitCodes:
         ("alexander", "-n", str(MAX_CHARPOLY_DIM + 2), ""),
     ])
     def test_charpoly_past_cap_is_two(self, capsys, monkeypatch, argv):
-        def refuse(self, other):
-            raise AssertionError("ring product past the dimension cap")
+        def refuse(*args):
+            raise AssertionError("charpoly work past the dimension cap")
 
-        # The identity's Burau matrix needs no product, so any product
-        # would be the charpoly's own work.
-        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        # Packing the entries is the charpoly's first work after the cap.
+        for name in ("_pack", "_dot"):
+            monkeypatch.setattr(laurent, name, refuse)
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error: ")

@@ -203,8 +203,8 @@ WORKLOAD_IDS = ["(1 -2)^7", "L(12)^2", "A(12)^2", "L(11)^2", "L(8)^3", "L(10)^3"
 
 # Past the reach of the 2^d cofactor expansion.
 WIDE_BRAIDS = [(14, power(ladder(14), 2)), (14, alternating(14)),
-               (20, power(ladder(20), 2))]
-WIDE_IDS = ["L(14)^2", "A(14)", "L(20)^2"]
+               (20, power(ladder(20), 2)), (24, power(ladder(24), 2))]
+WIDE_IDS = ["L(14)^2", "A(14)", "L(20)^2", "L(24)^2"]
 
 
 def _both_matrices(word: BraidWord):
@@ -270,3 +270,50 @@ class TestCharpolyOracle:
         for d, poly in zip((n, n - 1), _wide_charpolys(n, text)):
             # det(-B) = (-1)^d det(B) and det(B) = (-t)^e.
             assert poly.coefficient(0) == LaurentPoly.t_power(e, (-1) ** (d + e))
+
+
+def _random_laurent_matrix(rng: random.Random, d: int) -> LaurentMatrix:
+    def entry() -> LaurentPoly:
+        if rng.random() < 0.3:
+            return LaurentPoly.zero()
+        return P({rng.randint(-30, 30): rng.choice((1, -1)) * rng.randint(1, 2 ** 70)
+                  for _ in range(rng.randint(1, 3))})
+
+    return LaurentMatrix(tuple(tuple(entry() for _ in range(d)) for _ in range(d)))
+
+
+class TestPacking:
+    """Edges of the Kronecker packing inside ``charpoly``: wide coefficients,
+    negative exponents, a coefficient that needs the full packing width, and
+    the smallest matrices."""
+
+    def test_random_wide_matrices(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            m = _random_laurent_matrix(rng, rng.randint(1, 7))
+            assert charpoly(m) == cofactor_charpoly(m), m
+
+    def test_coefficient_at_packing_bound(self):
+        # The rows' L1 sums are 2^20, so the bound (1 + 2^20)^d has 20d + 1
+        # bits and the digits 20d + 2.  The constant coefficient 2^(20d)
+        # needs all of them: one bit narrower digits read it as negative.
+        d, one = 6, LaurentPoly.one()
+        entries = [LaurentPoly.t_power(i - 2, -(2 ** 20)) for i in range(d)]
+        m = LaurentMatrix(tuple(tuple(entries[i] if i == j else LaurentPoly.zero()
+                                      for j in range(d)) for i in range(d)))
+        expected = BivariatePoly.make([one])
+        for e in entries:
+            expected = expected * BivariatePoly.make([-e, one])
+        poly = charpoly(m)
+        assert poly == expected == cofactor_charpoly(m)
+        assert poly.coefficient(0) == LaurentPoly.t_power(sum(range(-2, d - 2)), 2 ** (20 * d))
+
+    def test_one_by_one(self):
+        a = P({-3: -(2 ** 70), 4: 5})
+        assert charpoly(LaurentMatrix(((a,),))) == BivariatePoly.make([-a, LaurentPoly.one()])
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_zero_matrix(self, d):
+        zero = LaurentPoly.zero()
+        m = LaurentMatrix(tuple(tuple(zero for _ in range(d)) for _ in range(d)))
+        assert charpoly(m) == BivariatePoly.make([zero] * d + [LaurentPoly.one()])
