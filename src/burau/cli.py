@@ -361,6 +361,8 @@ def cmd_verify(cfg: RunConfig, word: BraidWord) -> int:
         checks.append((f"strict gap vs lambda={_fmt(cfg.gap_lambda)}",
                        gap.gap_holds))
     all_ok = all(ok for _, ok in checks)
+    res = None if gap is None else gap.min_resultant_abs
+    past_range = res is not None and math.isinf(res)
     if cfg.fmt == "json":
         results = {"checks": [{"name": name, "ok": ok} for name, ok in checks],
                    "all_ok": all_ok}
@@ -368,19 +370,21 @@ def cmd_verify(cfg: RunConfig, word: BraidWord) -> int:
             results["gap"] = {
                 "lambda": gap.lam,
                 "sweep_max": gap.sweep.radius_star,
-                "min_resultant_abs": gap.min_resultant_abs,
+                "min_resultant_abs": None if past_range else res,
                 "unit_root_points": list(gap.unit_root_points),
                 "gap_holds": gap.gap_holds,
             }
-        _print_json(_envelope(cfg, word, results, []))
+        diagnostics = (["min_resultant_abs is null: the smallest |resultant| is beyond "
+                        "float range"] if past_range else [])
+        _print_json(_envelope(cfg, word, results, diagnostics))
     else:
         for name, ok in checks:
             print(f"{'ok  ' if ok else 'FAIL'} {name}")
         if gap is not None:
-            res = gap.min_resultant_abs
+            shown = ("none" if res is None else
+                     "beyond float range" if past_range else _fmt(res))
             print(f"sweep max {_fmt(gap.sweep.radius_star)} vs lambda "
-                  f"{_fmt(gap.lam)}; min |resultant| "
-                  f"{'none' if res is None else _fmt(res)}")
+                  f"{_fmt(gap.lam)}; min |resultant| {shown}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

@@ -10,6 +10,7 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class ComplexPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, z: complex) -> complex:
-        return _horner(self.coeffs, z)
+        return next(_taylor(self.coeffs, z))
 
 
 def specialize(m: LaurentMatrix, t: complex) -> np.ndarray:
@@ -154,19 +155,13 @@ def roots(p: ComplexPolynomial) -> list:
     return found
 
 
-def _coeff_scale(monic, az: float) -> float:
-    scale = 0.0
-    power = 1.0
-    for c in monic:
-        scale += abs(c) * power
-        power *= az
-    return max(scale, 1e-300)
-
-
 def _merge_root_clusters(zs, monic):
     """Replace groups of nearby roots by their centroid when the centroid
-    is itself a numerical root (true multiple root); leave genuinely distinct
-    close roots untouched."""
+    is itself a numerical root of the group's multiplicity m: every Taylor
+    coefficient p^(j)(c)/j!, j < m, is small against the same sum taken over
+    absolute values.  A group that fails loses its member farthest from the
+    centroid and is tried again, so a simple root beside a multiple one
+    stays apart; genuinely distinct close roots stay untouched."""
     n = len(zs)
     parent = list(range(n))
 
@@ -185,23 +180,31 @@ def _merge_root_clusters(zs, monic):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     out = list(zs)
+    magnitudes = [abs(c) for c in monic]
     for members in groups.values():
-        if len(members) < 2:
-            continue
-        centroid = sum(zs[i] for i in members) / len(members)
-        residual = abs(_horner(monic, centroid))
-        if residual <= _CLUSTER_GATE * _coeff_scale(monic, abs(centroid)):
-            for i in members:
-                out[i] = centroid
+        while len(members) > 1:
+            centroid = sum(zs[i] for i in members) / len(members)
+            taylor = zip(_taylor(monic, centroid), _taylor(magnitudes, abs(centroid)))
+            if all(abs(v) <= _CLUSTER_GATE * max(scale, 1e-300)
+                   for v, scale in islice(taylor, len(members))):
+                for i in members:
+                    out[i] = centroid
+                break
+            members.remove(max(members, key=lambda i: abs(zs[i] - centroid)))
     return out
 
 
-def _horner(coeffs, z: complex) -> complex:
-    """Value of the polynomial with ascending coefficients at z."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _taylor(coeffs, z):
+    """The Taylor coefficients p^(j)(z)/j!, j = 0, 1, ..., of the polynomial
+    with ascending coefficients, one at a time, by repeated synthetic
+    division by X - z."""
+    while coeffs:
+        acc, quotient = 0, []
+        for c in reversed(coeffs):
+            acc = acc * z + c
+            quotient.append(acc)
+        yield acc
+        coeffs = quotient[-2::-1]
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -236,7 +239,8 @@ class SweepResult:
 
 
 def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
-                      refine: bool = True) -> SweepResult:
+                      refine: bool = True, *,
+                      half_radii: np.ndarray | None = None) -> SweepResult:
     """Maximum spectral radius of m(t) over the unit circle.
 
     Specializes m on the grid t = exp(2 pi i k / grid) in blocks of
@@ -249,16 +253,23 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
     is the largest difference between neighbouring grid values; the searches
     advance in lockstep, one batched evaluation per step.  Points where the
     eigenvalue iteration fails are skipped, not fatal.
+    ``half_radii``, when given, are the radii at k = 0 .. grid/2, NaN where
+    the eigenvalue iteration failed, for a caller that has them already;
+    the sweep then takes no eigenvalues on the grid.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
     coeffs, low = _coefficient_array(m)
     count = grid // 2 + 1
     thetas = 2 * math.pi * np.arange(grid) / grid
-    ts = np.exp(1j * thetas[:count])
-    values = _mirror(np.concatenate([
-        _moduli(_evaluate(coeffs, low, ts[start:start + _BLOCK])).max(-1)
-        for start in range(0, count, _BLOCK)]), grid)
+    if half_radii is None:
+        ts = np.exp(1j * thetas[:count])
+        half_radii = np.concatenate([
+            _moduli(_evaluate(coeffs, low, ts[start:start + _BLOCK])).max(-1)
+            for start in range(0, count, _BLOCK)])
+    elif len(half_radii) != count:
+        raise ValueError(f"half_radii needs {count} values for grid {grid}")
+    values = _mirror(np.asarray(half_radii, dtype=float), grid)
 
     def radii_at(points: list) -> list:
         stack = _evaluate(coeffs, low, [cmath.exp(1j * theta) for theta in points])
@@ -415,17 +426,25 @@ def resultant(p: ComplexPolynomial, q: ComplexPolynomial) -> complex:
     if p.degree < 1 or q.degree < 1:
         raise ValueError("resultant needs two polynomials of degree >= 1 "
                          "with nondegenerate leading coefficients")
-    m = p.degree
-    n = q.degree
-    size = m + n
-    s = np.zeros((size, size), dtype=complex)
-    p_desc = list(reversed(p.coeffs))
-    q_desc = list(reversed(q.coeffs))
+    return complex(np.linalg.det(_sylvester(np.array(p.coeffs[::-1]),
+                                            np.array(q.coeffs[::-1]))))
+
+
+def _sylvester(p_desc: np.ndarray, q_desc: np.ndarray) -> np.ndarray:
+    """Sylvester matrices of stacks of descending coefficient rows."""
+    m, n = p_desc.shape[-1] - 1, q_desc.shape[-1] - 1
+    s = np.zeros(p_desc.shape[:-1] + (m + n, m + n), dtype=complex)
     for r in range(n):
-        s[r, r:r + m + 1] = p_desc
+        s[..., r, r:r + m + 1] = p_desc
     for r in range(m):
-        s[n + r, r:r + n + 1] = q_desc
-    return complex(np.linalg.det(s))
+        s[..., n + r, r:r + n + 1] = q_desc
+    return s
+
+
+def _abs_from_log(log_abs):
+    """exp of log |values|: math.inf, with no warning, past float range."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_abs)
 
 
 @dataclass(frozen=True)
@@ -433,8 +452,10 @@ class UnitRootCertificate:
     """Outcome of the unit-circle root test for one polynomial.
 
     ``fired`` is the necessary condition: the resultant of p with its
-    reciprocal conjugate is below ``CERTIFICATE_TOL``.  ``min_unit_distance`` is
-    the direct check min | |root| - 1 |.
+    reciprocal conjugate is below ``CERTIFICATE_TOL``.  Its modulus is read
+    as exp(log |det|) from ``slogdet`` of the Sylvester matrix, so it is
+    ``math.inf`` past float range, never NaN.  ``min_unit_distance`` is the
+    direct check min | |root| - 1 |.
     """
 
     resultant_abs: float | None
@@ -458,8 +479,10 @@ def unit_circle_root_certificate(p: ComplexPolynomial) -> UnitRootCertificate:
         raise ValueError("certificate needs degree >= 1")
     q = reciprocal_conjugate(p)
     if q.degree >= 1:
-        res_abs = abs(resultant(p, q))
-        fired = res_abs < CERTIFICATE_TOL
+        log_res = np.linalg.slogdet(_sylvester(np.array(p.coeffs[::-1]),
+                                               np.array(q.coeffs[::-1])))[1]
+        res_abs = float(_abs_from_log(log_res))
+        fired = bool(log_res < math.log(CERTIFICATE_TOL))
     else:
         res_abs = None
         fired = False
@@ -502,8 +525,11 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     unit-circle roots (a root there would witness an eigenvalue of modulus
     lam).  The screen is one batched pass over k = 0 .. grid/2, in blocks of
     ``_BLOCK`` points, mirrored to the rest of the grid: |Res(p, p*)|
-    from a stack of Sylvester determinants, and the root-modulus distance
+    as exp(log |det|) from ``slogdet`` of a stack of Sylvester matrices, so
+    that it never overflows to NaN, and the root-modulus distance
     min | |mu|/lam - 1 | from the eigenvalues mu of the reduced matrix.
+    Those eigenvalues are the only ones taken on the grid: the sweep gets
+    its grid radii max |mu| from the screen.
     Gray-band points (the resultant fires, the distance is within the
     certificate's ``REFUTE_MARGIN``, or p* drops degree) are decided by the
     per-point ``unit_circle_root_certificate`` instead, whose roots merge
@@ -514,7 +540,8 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     Also reports the sweep maximum of the full radius, max(1, reduced
     radius), against lam; the float maximum stands as it is, since a radius
     read low could accept a gap that does not hold.
-    ``min_resultant_abs`` is None when no grid point was screened.  A gap
+    ``min_resultant_abs`` is None when no grid point was screened, and
+    ``math.inf`` when the smallest |Res| lies past float range.  A gap
     holds only on complete evidence: no grid point skipped, by the screen or
     by the sweep, no unit root, and the sweep maximum below lam.
     ``reduced_charpoly``, when given, is the charpoly of the reduced matrix,
@@ -524,15 +551,18 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix
     bi = charpoly(reduced) if reduced_charpoly is None else reduced_charpoly
-    sweep = sweep_unit_circle(reduced, grid, refine)
-    sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
-
     count = grid // 2 + 1
     thetas = 2 * math.pi * np.arange(grid) / grid
-    res, distance = (_mirror(values, grid) for values in _unit_root_screen(
-        reduced, bi, lam, np.exp(1j * thetas[:count])))
-    failed = np.isnan(res) | np.isnan(distance)
-    gray = ~failed & ((res < CERTIFICATE_TOL) | (distance <= REFUTE_MARGIN))
+    log_res, distance, radii = _unit_root_screen(
+        reduced, bi, lam, np.exp(1j * thetas[:count]))
+    sweep = sweep_unit_circle(reduced, grid, refine, half_radii=radii)
+    sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
+
+    log_res, distance = _mirror(log_res, grid), _mirror(distance, grid)
+    res = _abs_from_log(log_res)
+    failed = np.isnan(log_res) | np.isnan(distance)
+    gray = ~failed & ((log_res < math.log(CERTIFICATE_TOL))
+                      | (distance <= REFUTE_MARGIN))
     res[failed] = np.nan
     skipped = [(k, "eigenvalue iteration did not converge")
                for k in np.flatnonzero(failed).tolist()]
@@ -582,27 +612,24 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
 def _unit_root_screen(reduced: LaurentMatrix, bi: BivariatePoly, lam: float,
                       ts: np.ndarray):
     """Batched unit-root screen of p(X) = charpoly(reduced)(lam X) at the
-    points ts, in blocks of ``_BLOCK``: |Res(p, p*)| from one
-    Sylvester determinant per point, and min | |mu|/lam - 1 | over the
-    eigenvalues mu of reduced(t), whose quotients by lam are the roots of p.
-    The distance is NaN where the eigenvalue iteration fails; the resultant
-    is 0 where p* drops degree (the constant term of p is below
-    ``LEADING_EPS``), which sends the point to the per-point certificate."""
+    points ts, in blocks of ``_BLOCK``, with one eigenvalue pass: log
+    |Res(p, p*)| from ``slogdet`` of one Sylvester matrix per point, and,
+    from the eigenvalues mu of reduced(t), whose quotients by lam are the
+    roots of p, the distance min | |mu|/lam - 1 | and the radius max |mu|.
+    Distance and radius are NaN where the eigenvalue iteration fails; the
+    log resultant is -inf where p* drops degree (the constant term of p is
+    below ``LEADING_EPS``), which sends the point to the per-point
+    certificate."""
     mcoeffs, mlow = _coefficient_array(reduced)
     pcoeffs, plow = _coefficient_array(bi)
-    d = len(bi.coeffs) - 1
-    scale = lam ** np.arange(d + 1)
-    res = np.empty(len(ts))
-    distance = np.empty(len(ts))
+    scale = lam ** np.arange(len(bi.coeffs))
+    log_res, distance, radii = (np.empty(len(ts)) for _ in range(3))
     for start in range(0, len(ts), _BLOCK):
         block = slice(start, start + _BLOCK)
         p = _evaluate(pcoeffs, plow, ts[block]) * scale
-        sylvester = np.zeros((len(p), 2 * d, 2 * d), dtype=complex)
-        for r in range(d):
-            sylvester[:, r, r:r + d + 1] = p[:, ::-1]
-            sylvester[:, d + r, r:r + d + 1] = p.conj()
-        res[block] = np.where(np.abs(p[:, 0]) > LEADING_EPS,
-                              np.abs(np.linalg.det(sylvester)), 0.0)
+        log_res[block] = np.where(np.abs(p[:, 0]) > LEADING_EPS, np.linalg.slogdet(
+            _sylvester(p[:, ::-1], p.conj()))[1], -np.inf)
         moduli = _moduli(_evaluate(mcoeffs, mlow, ts[block]))
         distance[block] = np.abs(moduli / lam - 1).min(-1)
-    return res, distance
+        radii[block] = moduli.max(-1)
+    return log_res, distance, radii

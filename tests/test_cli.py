@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,23 @@ class TestWideBraids:
         assert code == 0
         payload = json.loads(out, parse_constant=_reject_constant)
         assert payload["results"]["all_ok"] is True
+
+    def test_verify_gap_on_sixteen_strands(self, capsys):
+        # Every Sylvester determinant of L(16) at lambda 6 lies past float
+        # range: the minimum prints as null with a diagnostic, not inf.
+        argv = ("verify", "-n", "16", ladder(16), "--gap-lambda", "6", "--grid", "64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["results"]["gap"]["gap_holds"] is True
+        assert payload["results"]["gap"]["min_resultant_abs"] is None
+        assert any("beyond float range" in line for line in payload["diagnostics"])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "inf" not in out
+        assert "min |resultant| beyond float range" in out
 
 
 class TestEntropyBound:

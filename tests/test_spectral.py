@@ -138,9 +138,9 @@ class TestRoots:
         assert all(abs(r - 1) < 1e-10 for r in found)
         assert len(found) == 4
 
-    @pytest.mark.xfail(strict=True, reason="the cluster merge swallows a simple "
-                       "root beside a triple root: p is flat at their centroid")
     def test_simple_root_beside_triple_root(self):
+        # p is flat at the four roots' centroid, so only its higher Taylor
+        # coefficients there tell the simple root from the triple one.
         coeffs = np.convolve(np.poly([1.0, 1.0, 1.0]), [1.0, -1.01])
         found = roots(ComplexPolynomial.make(coeffs[::-1]))
         assert max(abs(r) for r in found) == pytest.approx(1.01, abs=1e-6)
@@ -468,6 +468,36 @@ class TestStrictGap:
         at_theta = point_certificate(charpoly(reduce_full(full).matrix), lam,
                                      got.min_resultant_theta).resultant_abs
         assert at_theta == pytest.approx(want.min_resultant_abs, rel=1e-9)
+
+    def test_grid_eigenvalues_are_taken_once(self, ex2, monkeypatch):
+        # The screen's eigenvalues give the sweep its grid radii: one matrix
+        # per point of the half grid k = 0 .. 128, none taken twice.
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            seen.append(1 if np.ndim(a) == 2 else len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        report = strict_gap_check(burau_matrix(ex2), 3.0, grid=256, refine=False)
+        assert not report.fired_points and not report.skipped
+        assert sum(seen) == 129
+
+    @pytest.mark.parametrize("grid", [256, 255])
+    @pytest.mark.parametrize("n, word", [
+        (3, "1 -2"), (4, "1 -2 -3"), (5, "4 3 2 1 4 3"), (6, "1 -2 3 -4 5"),
+        (5, " ".join(["1 2 3 4"] * 5)),
+    ])
+    def test_sweep_is_the_plain_sweep(self, n, word, grid):
+        full = burau_matrix(parse_braid(word, n))
+        sweep = sweep_unit_circle(reduce_full(full).matrix, grid)
+        report = strict_gap_check(full, 3.0, grid=grid)
+        assert report.sweep == replace(sweep, radius_star=max(1.0, sweep.radius_star))
+
+    def test_half_radii_length_guard(self, ex1):
+        with pytest.raises(ValueError):
+            sweep_unit_circle(reduced_burau(ex1).matrix, 64, half_radii=np.ones(32))
 
     def test_screen_memory_is_blocked(self, ex3):
         full = burau_matrix(ex3)
