@@ -254,10 +254,6 @@ class FreeAutomorphism:
             if img.rank != self.rank:
                 raise ValueError("image rank mismatch")
 
-    def image(self, i: int) -> FreeWord:
-        """Image of the i-th generator (1-based)."""
-        return self.images[i - 1]
-
 
 def identity_automorphism(rank: int) -> FreeAutomorphism:
     return FreeAutomorphism(rank, tuple(generator(i, rank) for i in range(1, rank + 1)))

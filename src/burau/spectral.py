@@ -38,6 +38,17 @@ _CLUSTER_GATE = 1e-10
 # their matrix, Sylvester and eigenvalue stacks stay small whatever the grid.
 _BLOCK = 256
 
+# Largest unit-circle grid, refused before any grid work.  A sweep of L(24)
+# at grid 2^14 takes 2.9-3.7 s (shared 2-CPU Xeon), so 12-15 s at the cap.
+MAX_GRID = 1 << 16
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 8:
+        raise ValueError("grid must be at least 8")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid limited to {MAX_GRID} points, got {grid}")
+
 
 @dataclass(frozen=True)
 class ComplexPolynomial:
@@ -252,13 +263,13 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
     grid value lies within ``margin`` of the grid maximum, where ``margin``
     is the largest difference between neighbouring grid values; the searches
     advance in lockstep, one batched evaluation per step.  Points where the
-    eigenvalue iteration fails are skipped, not fatal.
+    eigenvalue iteration fails are skipped, not fatal.  The grid runs from 8
+    to ``MAX_GRID`` points.
     ``half_radii``, when given, are the radii at k = 0 .. grid/2, NaN where
     the eigenvalue iteration failed, for a caller that has them already;
     the sweep then takes no eigenvalues on the grid.
     """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    _check_grid(grid)
     coeffs, low = _coefficient_array(m)
     count = grid // 2 + 1
     thetas = 2 * math.pi * np.arange(grid) / grid
@@ -547,6 +558,7 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     ``reduced_charpoly``, when given, is the charpoly of the reduced matrix,
     for a caller that has it already.
     """
+    _check_grid(grid)
     if lam <= 1:
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix

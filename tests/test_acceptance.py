@@ -34,7 +34,7 @@ from burau.spectral import (
     strict_gap_check,
     sweep_unit_circle,
 )
-from conftest import bisect_largest_root, random_reduced_word
+from conftest import alternating, bisect_largest_root, ladder, random_reduced_word
 from fox_calculus import (
     GroupRingElement,
     fox_derivative,
@@ -185,6 +185,9 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         n = rng.randint(2, 6)
         cases.append((n, braid(n), braid(n)))
+    # Wide braids, each with a random second factor.
+    for n, word in ((14, ladder(14)), (12, alternating(12)), (16, ladder(16))):
+        cases.append((n, parse_braid(word, n), braid(n)))
 
     one = LaurentPoly.one()
     x_minus_1 = BivariatePoly.make([LaurentPoly.constant(-1), one])

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from burau import laurent
+from burau import laurent, spectral
 from burau.cli import EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_USAGE, main
 from burau.laurent import MAX_CHARPOLY_DIM
+from burau.spectral import MAX_GRID
 
 from conftest import ladder, power
 
@@ -174,6 +175,16 @@ class TestVerify:
         assert code == 0
         assert "strict gap" in out
 
+    def test_checks_are_factorization_then_gap(self, capsys):
+        code, out, _ = run(capsys, "verify", "-n", "4", "1 -2 -3", "--grid", "64",
+                           "--gap-lambda", "2.2966302628865387", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["results"]["checks"]
+        assert checks == [
+            {"name": "charpoly factors through the reduced matrix", "ok": True},
+            {"name": "strict gap vs lambda=2.29663026289", "ok": True},
+        ]
+
 
 class TestJsonEnvelope:
     def test_round_trip_is_byte_identical(self, capsys):
@@ -229,6 +240,12 @@ class TestExitCodes:
         assert code == 2
         assert "csv" in err
 
+    def test_csv_rejected_for_sweep(self, capsys):
+        # The text output of sweep is its CSV.
+        code, _, err = run(capsys, "sweep", "-n", "2", "1", "--format", "csv")
+        assert code == EXIT_USAGE
+        assert "csv" in err
+
     def test_bad_grid_is_two(self, capsys):
         code, _, _ = run(capsys, "sweep", "-n", "2", "1", "--grid", "4")
         assert code == 2
@@ -238,6 +255,7 @@ class TestExitCodes:
         ("charpoly", "-n", str(MAX_CHARPOLY_DIM + 2), ""),
         ("charpoly", "-n", str(MAX_CHARPOLY_DIM + 2), "", "--reduced"),
         ("alexander", "-n", str(MAX_CHARPOLY_DIM + 2), ""),
+        ("verify", "-n", str(MAX_CHARPOLY_DIM + 1), ""),
     ])
     def test_charpoly_past_cap_is_two(self, capsys, monkeypatch, argv):
         def refuse(*args):
@@ -250,6 +268,21 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
         assert f"limited to dimension {MAX_CHARPOLY_DIM}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "-n", "3", "1 -2"),
+        ("entropy-bound", "-n", "3", "1 -2"),
+        ("verify", "-n", "4", "1 -2 -3", "--gap-lambda", "2.3"),
+    ], ids=lambda argv: argv[0])
+    def test_grid_past_cap_is_two(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("grid work past the grid cap")
+
+        monkeypatch.setattr(spectral, "_evaluate", refuse)
+        code, _, err = run(capsys, *argv, "--grid", str(MAX_GRID + 1))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert f"grid limited to {MAX_GRID} points" in err
 
     def test_verify_past_cap_is_two(self, capsys):
         code, _, err = run(capsys, "verify", "-n", str(MAX_CHARPOLY_DIM + 1), "")
@@ -338,7 +371,7 @@ def test_gap_json_without_screened_points_is_strict(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, total", [
     (("entropy-bound", "-n", "4", "1 -2 -3", "--grid", "64"), 1),
     (("verify", "-n", "4", "1 -2 -3", "--grid", "64",
-      "--gap-lambda", "2.2966302628865387"), None),
+      "--gap-lambda", "2.2966302628865387"), 1),
 ])
 def test_braid_matrix_is_built_once(capsys, monkeypatch, argv, total):
     import burau.cli
@@ -358,8 +391,7 @@ def test_braid_matrix_is_built_once(capsys, monkeypatch, argv, total):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert sources.count(parse_braid("1 -2 -3", 4)) == 1
-    if total is not None:
-        assert len(sources) == total
+    assert len(sources) == total
 
 
 def test_reduced_charpoly_is_taken_once(capsys, monkeypatch):
