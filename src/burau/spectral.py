@@ -10,7 +10,7 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from functools import reduce
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class ComplexPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, z: complex) -> complex:
-        return next(_taylor(self.coeffs, z))
+        return reduce(lambda acc, c: acc * z + c, reversed(self.coeffs), 0)
 
 
 def specialize(m: LaurentMatrix, t: complex) -> np.ndarray:
@@ -126,6 +126,16 @@ def _moduli(stack: np.ndarray) -> np.ndarray:
             with contextlib.suppress(np.linalg.LinAlgError):
                 out[p] = np.abs(np.linalg.eigvals(a))
         return out
+
+
+def _block_radii(coeffs: np.ndarray, low: int, ts: np.ndarray) -> np.ndarray:
+    """Spectral radii of m(t) at the points ts, by batched eigenvalues in
+    blocks of ``_BLOCK`` points; NaN where the eigenvalue iteration fails."""
+    radii = np.empty(len(ts))
+    for start in range(0, len(ts), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        radii[block] = _moduli(_evaluate(coeffs, low, ts[block])).max(-1)
+    return radii
 
 
 def _mirror(values: np.ndarray, grid: int) -> np.ndarray:
@@ -191,13 +201,11 @@ def _merge_root_clusters(zs, monic):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     out = list(zs)
-    magnitudes = [abs(c) for c in monic]
+    pairs = [(c, abs(c)) for c in reversed(monic)]
     for members in groups.values():
         while len(members) > 1:
             centroid = sum(zs[i] for i in members) / len(members)
-            taylor = zip(_taylor(monic, centroid), _taylor(magnitudes, abs(centroid)))
-            if all(abs(v) <= _CLUSTER_GATE * max(scale, 1e-300)
-                   for v, scale in islice(taylor, len(members))):
+            if _taylor_small(pairs, centroid, len(members)):
                 for i in members:
                     out[i] = centroid
                 break
@@ -205,17 +213,22 @@ def _merge_root_clusters(zs, monic):
     return out
 
 
-def _taylor(coeffs, z):
-    """The Taylor coefficients p^(j)(z)/j!, j = 0, 1, ..., of the polynomial
-    with ascending coefficients, one at a time, by repeated synthetic
-    division by X - z."""
-    while coeffs:
-        acc, quotient = 0, []
-        for c in reversed(coeffs):
-            acc = acc * z + c
-            quotient.append(acc)
-        yield acc
-        coeffs = quotient[-2::-1]
+def _taylor_small(pairs, z, count: int) -> bool:
+    """Whether each Taylor coefficient p^(j)(z)/j!, j < count, of p is at
+    most ``_CLUSTER_GATE`` times the same coefficient of |p| at |z|, for the
+    descending coefficient pairs (c, |c|) of p and |p|: one synthetic
+    division by X - z per j carries both."""
+    r = abs(z)
+    for _ in range(count):
+        acc = scale = 0
+        quotient = []
+        for c, a in pairs:
+            acc, scale = acc * z + c, scale * r + a
+            quotient.append((acc, scale))
+        if not abs(acc) <= _CLUSTER_GATE * max(scale, 1e-300):
+            return False
+        pairs = quotient[:-1]
+    return True
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -274,10 +287,7 @@ def sweep_unit_circle(m: LaurentMatrix, grid: int = 1024,
     count = grid // 2 + 1
     thetas = 2 * math.pi * np.arange(grid) / grid
     if half_radii is None:
-        ts = np.exp(1j * thetas[:count])
-        half_radii = np.concatenate([
-            _moduli(_evaluate(coeffs, low, ts[start:start + _BLOCK])).max(-1)
-            for start in range(0, count, _BLOCK)])
+        half_radii = _block_radii(coeffs, low, np.exp(1j * thetas[:count]))
     elif len(half_radii) != count:
         raise ValueError(f"half_radii needs {count} values for grid {grid}")
     values = _mirror(np.asarray(half_radii, dtype=float), grid)
@@ -370,12 +380,13 @@ def _lockstep(f, searches: list) -> list:
     return results
 
 
+# The spot points t = exp(2 pi i / k), by k.
 _SPOT_POINTS = (
-    ("t=-1", -1.0 + 0j),
-    ("t=exp(2*pi*i/3)", cmath.exp(2j * math.pi / 3)),
-    ("t=exp(2*pi*i/4)", 1j),
-    ("t=exp(2*pi*i/5)", cmath.exp(2j * math.pi / 5)),
-    ("t=exp(2*pi*i/6)", cmath.exp(1j * math.pi / 3)),
+    ("t=-1", 2, -1.0 + 0j),
+    ("t=exp(2*pi*i/3)", 3, cmath.exp(2j * math.pi / 3)),
+    ("t=exp(2*pi*i/4)", 4, 1j),
+    ("t=exp(2*pi*i/5)", 5, cmath.exp(2j * math.pi / 5)),
+    ("t=exp(2*pi*i/6)", 6, cmath.exp(1j * math.pi / 3)),
 )
 
 
@@ -392,16 +403,27 @@ class EntropyReport:
 def entropy_lower_bound(w: BraidWord, grid: int = 1024,
                         refine: bool = True) -> EntropyReport:
     """Lower bound for the topological entropy of any homeomorphism inducing
-    the braid: ln of the unit-circle supremum of the Burau spectral radius."""
+    the braid: ln of the unit-circle supremum of the Burau spectral radius.
+    Spot points exp(2 pi i / k), k > n, lie inside Squier's arc: radius 1."""
     full = burau_matrix(w)
     sweep = burau_radius_sweep(reduce_full(full).matrix, grid, refine)
-    spots = []
-    for label, t in _SPOT_POINTS:
-        value = spectral_radius(specialize(full.matrix, t))
-        spots.append((label, value))
+    spots = tuple((label, 1.0 if k > w.strands
+                   else spectral_radius(specialize(full.matrix, t)))
+                  for label, k, t in _SPOT_POINTS)
     bound = math.log(sweep.radius_star)
     return EntropyReport(strands=w.strands, sweep=sweep, bound=bound,
-                         spot_values=tuple(spots))
+                         spot_values=spots)
+
+
+def _outside_arc(reduced: LaurentMatrix, grid: int):
+    """The half grid t = exp(2 pi i k / grid), k = 0 .. grid/2, and the mask
+    of its points outside Squier's arc |theta| < 2 pi / n, n = dim + 1, by
+    the integer test n k >= grid.  On the arc the reduced Burau matrix is
+    unitary for Squier's positive definite Hermitian form, so every
+    eigenvalue has modulus 1 (Squier, Proc. AMS 1984; McMullen, Math. Ann.
+    2013)."""
+    k = np.arange(grid // 2 + 1)
+    return np.exp(1j * (2 * math.pi * k / grid)), (reduced.dim + 1) * k >= grid
 
 
 def burau_radius_sweep(reduced: LaurentMatrix, grid: int = 1024,
@@ -411,6 +433,10 @@ def burau_radius_sweep(reduced: LaurentMatrix, grid: int = 1024,
     radius is max(1, reduced radius) at every t.  The samples stay reduced
     radii; ``radius_star`` is the full radius.
 
+    Grid points inside Squier's arc (``_outside_arc``) read exactly 1 with
+    no eigenvalues taken; ``sweep_unit_circle`` gets the radii as
+    ``half_radii``.
+
     On |t| = 1 the reduced spectrum is closed under lam -> 1/conj(lam), so
     when every eigenvalue at the maximum has the same float modulus the
     spectrum lies on the unit circle and the radius is exactly 1.  This drops
@@ -418,7 +444,11 @@ def burau_radius_sweep(reduced: LaurentMatrix, grid: int = 1024,
     eigenvalue.  It can lower the float maximum only by rounding, so it suits
     a lower bound, not a gap check.
     """
-    sweep = sweep_unit_circle(reduced, grid, refine)
+    _check_grid(grid)
+    ts, outside = _outside_arc(reduced, grid)
+    radii = np.ones(len(ts))
+    radii[outside] = _block_radii(*_coefficient_array(reduced), ts[outside])
+    sweep = sweep_unit_circle(reduced, grid, refine, half_radii=radii)
     moduli = np.abs(np.linalg.eigvals(specialize(reduced, sweep.t_star)))
     if moduli.max() == moduli.min():
         return replace(sweep, radius_star=1.0)
@@ -531,10 +561,12 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     """Check lam > sup of the Burau spectral radius over the unit circle,
     for a braid given by its full Burau matrix.
 
-    At each grid point t the reduced characteristic polynomial is
-    specialized at t, rescaled by substituting lam*X for X, and screened for
-    unit-circle roots (a root there would witness an eigenvalue of modulus
-    lam).  The screen is one batched pass over k = 0 .. grid/2, in blocks of
+    Grid points inside Squier's arc (``_outside_arc``) have radius 1 < lam:
+    they are neither screened nor skipped.  At each other grid point t the
+    reduced characteristic polynomial is specialized at t, rescaled by
+    substituting lam*X for X, and screened for unit-circle roots (a root
+    there would witness an eigenvalue of modulus lam).  The screen is one
+    batched pass over those points of k = 0 .. grid/2, in blocks of
     ``_BLOCK`` points, mirrored to the rest of the grid: |Res(p, p*)|
     as exp(log |det|) from ``slogdet`` of a stack of Sylvester matrices, so
     that it never overflows to NaN, and the root-modulus distance
@@ -551,10 +583,11 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     Also reports the sweep maximum of the full radius, max(1, reduced
     radius), against lam; the float maximum stands as it is, since a radius
     read low could accept a gap that does not hold.
-    ``min_resultant_abs`` is None when no grid point was screened, and
-    ``math.inf`` when the smallest |Res| lies past float range.  A gap
-    holds only on complete evidence: no grid point skipped, by the screen or
-    by the sweep, no unit root, and the sweep maximum below lam.
+    ``min_resultant_abs`` is the minimum over the screened points, None
+    when none has a resultant, and ``math.inf`` when the smallest |Res|
+    lies past float range.  A gap holds only on complete evidence: no grid
+    point skipped, by the screen or by the sweep, no unit root, and the
+    sweep maximum below lam.
     ``reduced_charpoly``, when given, is the charpoly of the reduced matrix,
     for a caller that has it already.
     """
@@ -563,16 +596,16 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix
     bi = charpoly(reduced) if reduced_charpoly is None else reduced_charpoly
-    count = grid // 2 + 1
-    thetas = 2 * math.pi * np.arange(grid) / grid
-    log_res, distance, radii = _unit_root_screen(
-        reduced, bi, lam, np.exp(1j * thetas[:count]))
+    ts, outside = _outside_arc(reduced, grid)
+    log_res, distance, radii = (np.full(len(ts), v) for v in (np.nan, np.inf, 1.0))
+    log_res[outside], distance[outside], radii[outside] = _unit_root_screen(
+        reduced, bi, lam, ts[outside])
     sweep = sweep_unit_circle(reduced, grid, refine, half_radii=radii)
     sweep = replace(sweep, radius_star=max(1.0, sweep.radius_star))
 
     log_res, distance = _mirror(log_res, grid), _mirror(distance, grid)
     res = _abs_from_log(log_res)
-    failed = np.isnan(log_res) | np.isnan(distance)
+    failed = _mirror(outside, grid) & (np.isnan(log_res) | np.isnan(distance))
     gray = ~failed & ((log_res < math.log(CERTIFICATE_TOL))
                       | (distance <= REFUTE_MARGIN))
     res[failed] = np.nan
@@ -600,11 +633,13 @@ def strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         elif cert.verdict == "inconclusive":
             inconclusive.append(theta)
 
+    # Not nanargmin, which ranks NaN as inf: a NaN could tie |Res| = inf.
     min_res = None
     min_res_theta = 0.0
-    if not np.all(np.isnan(res)):
-        k = int(np.nanargmin(res))
-        min_res, min_res_theta = float(res[k]), float(thetas[k])
+    with_res = np.flatnonzero(~np.isnan(res))
+    if with_res.size:
+        k = int(with_res[np.argmin(res[with_res])])
+        min_res, min_res_theta = float(res[k]), 2 * math.pi * k / grid
     gap_holds = (sweep.radius_star < lam and not unit_root and not skipped
                  and not sweep.skipped)
     return GapReport(

@@ -29,8 +29,10 @@ from burau.spectral import (
 
 
 def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
-                               refine: bool = True) -> GapReport:
-    """``strict_gap_check`` with one certificate per grid point."""
+                               refine: bool = True) -> tuple[GapReport, list]:
+    """``strict_gap_check`` with one certificate per grid point, inside
+    Squier's arc too, and the |Res| of every grid point k (None where the
+    certificate has none or failed)."""
     if lam <= 1:
         raise ValueError("lam must exceed 1")
     reduced = reduce_full(full).matrix
@@ -44,6 +46,7 @@ def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
     unit_root = []
     inconclusive = []
     skipped = []
+    resultants = [None] * grid
     for k in range(grid):
         theta = 2 * math.pi * k / grid
         try:
@@ -51,6 +54,7 @@ def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         except np.linalg.LinAlgError as exc:
             skipped.append((k, str(exc)))
             continue
+        resultants[k] = cert.resultant_abs
         if cert.resultant_abs is not None and (
                 min_res is None or cert.resultant_abs < min_res):
             min_res = cert.resultant_abs
@@ -75,7 +79,7 @@ def pointwise_strict_gap_check(full: BurauMatrix, lam: float, grid: int = 4096,
         inconclusive_points=tuple(inconclusive),
         skipped=tuple(skipped),
         gap_holds=gap_holds,
-    )
+    ), resultants
 
 
 def point_certificate(bi: BivariatePoly, lam: float,

@@ -322,6 +322,11 @@ class TestEntropyBound:
         assert spots["t=-1"] == pytest.approx(1.0, abs=1e-9)
         assert spots["t=exp(2*pi*i/3)"] == pytest.approx(
             EX2_RADIUS_AT_THIRD_ROOT, abs=1e-6)
+        # k = 5, 6 lie inside Squier's arc |theta| < 2 pi / 4; its edge
+        # k = 4 is still evaluated.
+        assert spots["t=exp(2*pi*i/5)"] == spots["t=exp(2*pi*i/6)"] == 1.0
+        assert spots["t=exp(2*pi*i/4)"] == spectral_radius(
+            specialize(burau_matrix(ex2).matrix, 1j))
 
 
 class TestReciprocalConjugate:
@@ -411,6 +416,12 @@ GAP_CASES = [
 ]
 
 
+def _inside_arc(n: int, k: int, grid: int) -> bool:
+    """Whether theta = 2 pi k / grid lies strictly inside Squier's arc
+    |theta| < 2 pi / n (mod 2 pi)."""
+    return n * min(k % grid, -k % grid) < grid
+
+
 class TestStrictGap:
     def test_example_1_equality_case_fails(self, ex1):
         report = strict_gap_check(burau_matrix(ex1), GOLDEN, grid=128)
@@ -436,13 +447,15 @@ class TestStrictGap:
 
     def test_no_gap_without_evidence(self, ex2, monkeypatch):
         # Example 2's supremum is 2.174; with every eigenvalue step failing
-        # the sweep has no samples, and the gap must not be accepted.
+        # only the arc |theta| < 2 pi / 4 has samples (radius 1), every
+        # grid point outside it is skipped, and the gap must not be accepted.
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
         monkeypatch.setattr(np.linalg, "eigvals", explode)
         report = strict_gap_check(burau_matrix(ex2), 1.5, grid=64)
-        assert [k for k, _ in report.skipped] == list(range(64))
+        assert [k for k, _ in report.skipped] == [
+            k for k in range(64) if not _inside_arc(4, k, 64)]
         assert not report.gap_holds
 
     @pytest.mark.parametrize("grid", [256, 255])
@@ -453,25 +466,41 @@ class TestStrictGap:
             sweep = sweep_unit_circle(reduce_full(full).matrix, grid, refine=False)
             lam = max(value for _, value in sweep.samples)
         got = strict_gap_check(full, lam, grid=grid)
-        want = pointwise_strict_gap_check(full, lam, grid=grid)
+        want, resultants = pointwise_strict_gap_check(full, lam, grid=grid)
         assert got.fired_points == want.fired_points
         assert got.unit_root_points == want.unit_root_points
         assert got.inconclusive_points == want.inconclusive_points
         assert [k for k, _ in got.skipped] == [k for k, _ in want.skipped]
         assert got.gap_holds == want.gap_holds
         assert got.sweep.radius_star == want.sweep.radius_star
-        assert got.min_resultant_abs == pytest.approx(want.min_resultant_abs,
-                                                      rel=1e-9)
+        # The oracle screens the arc too, and finds nothing there.
+        assert not any(_inside_arc(n, round(theta * grid / (2 * math.pi)), grid)
+                       for theta in (*want.fired_points, *want.unit_root_points,
+                                     *want.inconclusive_points))
+        outside = [r for k, r in enumerate(resultants)
+                   if r is not None and not _inside_arc(n, k, grid)]
+        assert got.min_resultant_abs == pytest.approx(min(outside), rel=1e-9)
         # |Res| is even in theta (and constant for the full twist), so the
         # oracle's first minimum may be a rounding-level tie elsewhere: its
         # resultant at the screen's theta must be the same minimum.
         at_theta = point_certificate(charpoly(reduce_full(full).matrix), lam,
                                      got.min_resultant_theta).resultant_abs
-        assert at_theta == pytest.approx(want.min_resultant_abs, rel=1e-9)
+        assert at_theta == pytest.approx(min(outside), rel=1e-9)
+        assert not _inside_arc(n, round(got.min_resultant_theta * grid / (2 * math.pi)),
+                               grid)
+
+    def test_min_resultant_past_float_range_is_inf(self):
+        # Every screened |Res| of L(16) at lam = 6 is past float range; the
+        # unscreened arc must not turn the minimum into NaN.
+        full = burau_matrix(parse_braid(ladder(16), 16))
+        report = strict_gap_check(full, 6.0, grid=64)
+        assert report.min_resultant_abs == math.inf
+        assert report.gap_holds
 
     def test_grid_eigenvalues_are_taken_once(self, ex2, monkeypatch):
         # The screen's eigenvalues give the sweep its grid radii: one matrix
-        # per point of the half grid k = 0 .. 128, none taken twice.
+        # per point of the half grid outside the arc, k = 64 .. 128, none
+        # taken twice and none inside the arc.
         seen = []
         eigvals = np.linalg.eigvals
 
@@ -482,7 +511,11 @@ class TestStrictGap:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         report = strict_gap_check(burau_matrix(ex2), 3.0, grid=256, refine=False)
         assert not report.fired_points and not report.skipped
-        assert sum(seen) == 129
+        assert sum(seen) == 65
+        # The same 65 points for the sweep, and one matrix at t_star.
+        seen.clear()
+        burau_radius_sweep(reduced_burau(ex2).matrix, grid=256, refine=False)
+        assert seen == [65, 1]
 
     @pytest.mark.parametrize("grid", [256, 255])
     @pytest.mark.parametrize("n, word", [
@@ -493,7 +526,20 @@ class TestStrictGap:
         full = burau_matrix(parse_braid(word, n))
         sweep = sweep_unit_circle(reduce_full(full).matrix, grid)
         report = strict_gap_check(full, 3.0, grid=grid)
-        assert report.sweep == replace(sweep, radius_star=max(1.0, sweep.radius_star))
+        arc = [_inside_arc(n, k, grid) for k in range(grid)]
+        assert [s for s, a in zip(report.sweep.samples, arc) if not a] == [
+            s for s, a in zip(sweep.samples, arc) if not a]
+        assert all(value == 1.0 for (_, value), a in zip(report.sweep.samples, arc) if a)
+        assert all(abs(value - 1) <= 1e-12 for (_, value), a in zip(sweep.samples, arc) if a)
+        want = replace(sweep, radius_star=max(1.0, sweep.radius_star))
+        if sweep.radius_star > 1 + 1e-9:
+            assert report.sweep == replace(want, samples=report.sweep.samples)
+        else:
+            # The B5 full twist (reduced matrix t^5 I) has radius 1 on the
+            # whole circle: its maximum is rounding noise, which the arc no
+            # longer offers for refinement.
+            assert report.sweep.radius_star == want.radius_star
+            assert report.sweep.refinement_iterations < want.refinement_iterations
 
     def test_half_radii_length_guard(self, ex1):
         with pytest.raises(ValueError):
@@ -584,6 +630,25 @@ class TestReciprocalSymmetry:
             assert abs(poly.evaluate(1)) < 1e-8 * scale
             eigs = roots(poly)
             assert min(abs(mu - 1) for mu in eigs) < 1e-6
+
+
+def test_radius_is_one_inside_squier_arc():
+    # For |theta| < 2 pi / n Squier's Hermitian form is positive definite
+    # and the reduced Burau matrix is unitary for it (Squier, The Burau
+    # representation is unitary, Proc. AMS 1984; McMullen, Braid groups and
+    # Hodge theory, Math. Ann. 2013), so its spectral radius is 1 there.
+    rng = random.Random(1984)
+    for _ in range(120):
+        n = rng.randint(3, 12)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(rng.randint(1, 3 * n)))
+        m = reduced_burau(BraidWord(n, letters)).matrix
+        # Random points and the last point of grid 4096 before the edge.
+        edge = 2 * math.pi / n
+        thetas = [rng.uniform(-edge, edge) for _ in range(8)]
+        thetas.append(2 * math.pi * ((4096 - 1) // n) / 4096)
+        stack = np.array([specialize(m, cmath.exp(1j * theta)) for theta in thetas])
+        assert np.abs(np.abs(np.linalg.eigvals(stack)).max(-1) - 1).max() <= 1e-12
 
 
 def test_occurrence_bound_chain():
